@@ -1,98 +1,126 @@
-//! Connectivity via LDD + contraction (§4.3.2), after Shun et al. \[86\].
+//! Connectivity: LDD sample, then a lock-free union-find finish (§4.3.2).
 //!
-//! One round of LDD with constant β leaves `O(βm)` inter-cluster edges in
-//! expectation (and `O(n)` for `β = O(1/log n)` by Corollary 3.1 of \[69\]);
-//! the deduplicated inter-cluster graph is built *in small memory* and the
-//! algorithm recurses. `O(m)` expected work, `O(log³ n)` depth whp,
-//! `O(n)` words of small memory (Theorem C.2).
+//! 1. **Sample.** One low-diameter decomposition ([`crate::algo::ldd`], the
+//!    paper's sampler) groups the vertices into clusters, each inside one
+//!    component. It settles every intra-cluster edge; in expectation `O(βm)`
+//!    edges stay inter-cluster.
+//! 2. **Finish.** A [`ConcurrentUnionFind`] starts from the cluster ids and
+//!    **one** barrier-free parallel loop over the vertices unites the two
+//!    clusters of every inter-cluster edge. When the graph is symmetric the
+//!    loop skips the adjacency lists of the most frequent cluster (found from
+//!    about a thousand seed-derived probes — on skewed graphs one cluster
+//!    holds most of the edges): each edge into that cluster is still seen
+//!    from its other endpoint. An asymmetric graph has no such guarantee, so
+//!    nothing is skipped there and the result is its weak components.
+//! 3. `labels[v] = find(v)`.
+//!
+//! `O(m)` expected work — two passes over the NVRAM edges, the LDD's and the
+//! finish's (less the skipped cluster) — and `O(n)` words of small memory
+//! whatever `m` is: the LDD state, the `n` `u32` parents of the forest, and
+//! the labels. Nothing proportional to the inter-cluster edge count is ever
+//! materialised, and the graph is never written. The cluster probes and the
+//! union-find traffic are charged to the meter as `aux_read`/`aux_write`,
+//! batched per vertex.
 
-use crate::algo::ldd::ldd;
-use sage_graph::{build_csr, BuildOptions, EdgeList, Graph, V};
+use crate::algo::ldd::ldd_clusters;
+use sage_graph::{Graph, V};
+use sage_nvram::meter;
 use sage_parallel as par;
-use sage_parallel::ConcurrentMap;
+use sage_parallel::ConcurrentUnionFind;
+use std::collections::HashMap;
 
-/// Pack an undirected pair into a canonical u64 key.
-#[inline]
-pub(crate) fn pair_key(a: V, b: V) -> u64 {
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    ((lo as u64) << 32) | hi as u64
+/// Probes used to guess the most frequent cluster.
+const SAMPLES: u64 = 1024;
+
+/// The cluster id seen most often among [`SAMPLES`] seed-derived probes
+/// (ties go to the larger id, so the choice is a function of the inputs).
+fn most_frequent_cluster(cluster: &[V], seed: u64) -> Option<V> {
+    let n = cluster.len() as u64;
+    let probes = SAMPLES.min(n);
+    let mut count: HashMap<V, u32> = HashMap::new();
+    for i in 0..probes {
+        *count
+            .entry(cluster[(par::hash64_pair(seed, i) % n) as usize])
+            .or_default() += 1;
+    }
+    meter::aux_read(probes);
+    count
+        .into_iter()
+        .max_by_key(|&(c, k)| (k, c))
+        .map(|(c, _)| c)
+}
+
+/// The finish: unite the clusters of every inter-cluster edge of `g` into a
+/// forest that starts from `cluster` (a star per cluster, as [`ldd_clusters`]
+/// returns it). With `keep_links`, also returns the graph edge `(v, u)` behind
+/// every link the forest accepted — one per merge, so `#clusters −
+/// #components` of them, which is what turns the cluster trees into a
+/// spanning forest.
+pub(crate) fn unite_clusters<G: Graph>(
+    g: &G,
+    cluster: &[V],
+    seed: u64,
+    keep_links: bool,
+) -> (ConcurrentUnionFind, Vec<(V, V)>) {
+    let forest = ConcurrentUnionFind::from_parents(cluster);
+    meter::aux_write(cluster.len() as u64);
+    // Only a symmetric graph shows an edge into the skipped cluster from
+    // its other end as well.
+    let skip = if g.is_symmetric() {
+        most_frequent_cluster(cluster, seed)
+    } else {
+        None
+    };
+    let links = par::reduce_map(
+        0,
+        cluster.len(),
+        0,
+        Vec::new(),
+        |vi| {
+            let cv = cluster[vi];
+            let mut made = Vec::new();
+            if Some(cv) == skip {
+                meter::aux_read(1);
+                return made;
+            }
+            let (mut probes, mut unites, mut linked) = (1u64, 0u64, 0u64);
+            g.for_each_edge(vi as V, |u, _| {
+                probes += 1;
+                let cu = cluster[u as usize];
+                if cu != cv {
+                    unites += 1;
+                    if forest.unite(cv, cu) {
+                        linked += 1;
+                        if keep_links {
+                            made.push((vi as V, u));
+                        }
+                    }
+                }
+            });
+            // One cluster probe per edge end, two finds per unite, one
+            // parent written per link.
+            meter::aux_read(probes + 2 * unites);
+            meter::aux_write(linked);
+            made
+        },
+        |mut a, mut b| {
+            a.append(&mut b);
+            a
+        },
+    );
+    (forest, links)
 }
 
 /// Connected-component labels: `labels[v]` is a vertex id shared by exactly
 /// the vertices of `v`'s component.
 pub fn connectivity<G: Graph>(g: &G, beta: f64, seed: u64) -> Vec<V> {
-    connectivity_rec(g, beta, seed, 0)
-}
-
-fn connectivity_rec<G: Graph>(g: &G, beta: f64, seed: u64, depth: usize) -> Vec<V> {
-    assert!(depth < 64, "contraction failed to converge");
-    let n = g.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    if g.num_edges() == 0 {
-        return (0..n as V).collect();
-    }
-    let decomposition = ldd(g, beta, seed);
-    let cluster = decomposition.cluster;
-
-    // Deduplicate inter-cluster edges into small memory.
-    let inter = crate::algo::ldd::count_inter_cluster_edges(g, &cluster);
-    if inter == 0 {
-        return cluster;
-    }
-    let map = ConcurrentMap::with_capacity((inter as usize).max(16));
-    par::par_for(0, n, |vi| {
-        let v = vi as V;
-        let cv = cluster[vi];
-        g.for_each_edge(v, |u, _| {
-            let cu = cluster[u as usize];
-            if cv != cu {
-                map.insert_if_absent(pair_key(cv, cu), 0);
-            }
-        });
-    });
-    let contracted: Vec<(V, V)> = map
-        .entries()
-        .into_iter()
-        .map(|(k, _)| ((k >> 32) as V, (k & 0xFFFF_FFFF) as V))
-        .collect();
-
-    // Relabel cluster centers densely.
-    let centers: Vec<V> = par::pack_index(n, |v| cluster[v] as usize == v);
-    let mut dense_of = vec![0u32; n];
-    {
-        let dp = par::SendPtr(dense_of.as_mut_ptr());
-        let centers_ref: &[V] = &centers;
-        // SAFETY: centers are distinct indices, so writes are disjoint.
-        par::par_for(0, centers.len(), |i| unsafe {
-            *dp.add(centers_ref[i] as usize) = i as u32;
-        });
-    }
-    let edges: Vec<(V, V)> = contracted
-        .iter()
-        .map(|&(a, b)| (dense_of[a as usize], dense_of[b as usize]))
-        .collect();
-    let mut cg = build_csr(
-        EdgeList::new(centers.len(), edges),
-        BuildOptions {
-            symmetrize: true,
-            block_size: 64,
-        },
-    );
-    // The contracted graph is algorithm state: it lives in the PSAM's small
-    // memory (Theorem C.2), so its reads are DRAM traffic.
-    cg.mark_dram_resident();
-    let sub = connectivity_rec(
-        &cg,
-        beta,
-        par::hash64(seed.wrapping_add(depth as u64 + 1)),
-        depth + 1,
-    );
-    // Compose: label of v = center label of its cluster's component.
-    par::par_map(n, |v| {
-        centers[sub[dense_of[cluster[v] as usize] as usize] as usize]
-    })
+    let cluster = ldd_clusters(g, beta, seed);
+    let (forest, _) = unite_clusters(g, &cluster, seed, false);
+    drop(cluster);
+    let n = forest.len() as u64;
+    meter::aux_read(n);
+    meter::aux_write(n);
+    forest.labels()
 }
 
 /// Number of connected components implied by a labeling.

@@ -4,12 +4,16 @@
 //! center at round `⌊δ_v⌋` if still unclaimed, and clusters grow by parallel
 //! BFS (ties broken by arrival). Produces an `(O(β), O(log n / β))`
 //! decomposition in `O(m)` expected work and `O(log² n)` depth whp.
+//!
+//! Small memory: the cluster ids (`n` `u32`), the vertices grouped by start
+//! round (`n` `u32`), the frontier, and — only for callers that read the BFS
+//! trees — the parents (`n` `u32`).
 
 use crate::edge_map::{edge_map, EdgeMapFn, EdgeMapOpts};
 use crate::vertex_subset::VertexSubset;
 use sage_graph::{Graph, NONE_V, V};
 use sage_parallel as par;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Result of a low-diameter decomposition.
 pub struct LddResult {
@@ -21,19 +25,37 @@ pub struct LddResult {
     pub rounds: usize,
 }
 
-struct LddFn<'a> {
-    cluster: &'a [AtomicU64],
-    parent: &'a [AtomicU64],
+/// Where the cluster BFS trees go: spanning forest and spanner read them,
+/// connectivity does not and passes [`NoParents`] to skip the array.
+trait ParentSink: Sync {
+    fn set(&self, v: V, parent: V);
 }
 
-const UNCLAIMED: u64 = u64::MAX;
+struct NoParents;
 
-impl EdgeMapFn for LddFn<'_> {
+impl ParentSink for NoParents {
+    #[inline]
+    fn set(&self, _v: V, _parent: V) {}
+}
+
+impl ParentSink for Vec<AtomicU32> {
+    #[inline]
+    fn set(&self, v: V, parent: V) {
+        self[v as usize].store(parent, Ordering::Relaxed);
+    }
+}
+
+struct LddFn<'a, P: ParentSink> {
+    cluster: &'a [AtomicU32],
+    parent: &'a P,
+}
+
+impl<P: ParentSink> EdgeMapFn for LddFn<'_, P> {
     fn update(&self, s: V, d: V, _w: u32) -> bool {
-        if self.cluster[d as usize].load(Ordering::Relaxed) == UNCLAIMED {
+        if self.cluster[d as usize].load(Ordering::Relaxed) == NONE_V {
             let c = self.cluster[s as usize].load(Ordering::Relaxed);
             self.cluster[d as usize].store(c, Ordering::Relaxed);
-            self.parent[d as usize].store(s as u64, Ordering::Relaxed);
+            self.parent.set(d, s);
             true
         } else {
             false
@@ -45,10 +67,10 @@ impl EdgeMapFn for LddFn<'_> {
         // ORDERING: AcqRel success / Acquire failure — cluster-claim CAS:
         // Release publishes the claim, Acquire orders losers after it.
         if self.cluster[d as usize]
-            .compare_exchange(UNCLAIMED, c, Ordering::AcqRel, Ordering::Acquire)
+            .compare_exchange(NONE_V, c, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            self.parent[d as usize].store(s as u64, Ordering::Relaxed);
+            self.parent.set(d, s);
             true
         } else {
             false
@@ -56,17 +78,59 @@ impl EdgeMapFn for LddFn<'_> {
     }
 
     fn cond(&self, d: V) -> bool {
-        self.cluster[d as usize].load(Ordering::Relaxed) == UNCLAIMED
+        self.cluster[d as usize].load(Ordering::Relaxed) == NONE_V
     }
 }
 
-/// Decompose `g` with parameter `beta` (the paper uses `β = 0.2` for the
-/// connectivity family, §5.3).
-pub fn ldd<G: Graph>(g: &G, beta: f64, seed: u64) -> LddResult {
+/// Group the vertices by start round with a parallel counting sort: the
+/// vertices starting in round `r` are `order[bounds[r]..bounds[r + 1]]`.
+fn group_by_start(start: &[u32], rounds: usize) -> (Vec<V>, Vec<usize>) {
+    let n = start.len();
+    // One count per (block, round); fewer blocks when there are many rounds
+    // so the table stays within n entries.
+    let nblocks = (n / rounds).clamp(1, 8 * par::num_threads());
+    let block = n.div_ceil(nblocks);
+    let range = |b: usize| b * block..((b + 1) * block).min(n);
+    // A private row per block: no two tasks share a cache line of counts.
+    let mut counts: Vec<Vec<u32>> = par::par_map_grain(nblocks, 1, |b| {
+        let mut row = vec![0u32; rounds];
+        for v in range(b) {
+            row[start[v] as usize] += 1;
+        }
+        row
+    });
+    // Round-major exclusive scan: each count becomes the output offset of
+    // its (round, block) run. The table is small; the scan is sequential.
+    let mut bounds = Vec::with_capacity(rounds + 1);
+    let mut at = 0u32;
+    for r in 0..rounds {
+        bounds.push(at as usize);
+        for row in counts.iter_mut() {
+            at += std::mem::replace(&mut row[r], at);
+        }
+    }
+    bounds.push(at as usize);
+    let mut order: Vec<V> = Vec::with_capacity(n);
+    let op = par::SendPtr(order.as_mut_ptr());
+    par::par_for_slices(&mut counts, |b, row| {
+        for v in range(b) {
+            let at = &mut row[start[v] as usize];
+            // SAFETY: the scan gave every (round, block) run its own slots
+            // inside `0..n`, and `at` walks block `b`'s run for this round.
+            unsafe { op.add(*at as usize).write(v as V) };
+            *at += 1;
+        }
+    });
+    // SAFETY: the runs tile `0..n`, so each slot was written exactly once.
+    unsafe { order.set_len(n) };
+    (order, bounds)
+}
+
+/// The decomposition itself; returns the cluster ids and the round count.
+fn ldd_into<G: Graph, P: ParentSink>(g: &G, beta: f64, seed: u64, parent: &P) -> (Vec<V>, usize) {
     assert!(beta > 0.0 && beta < 1.0, "beta must be in (0,1)");
     let n = g.num_vertices();
-    let cluster = crate::algo::common::atomic_vec(n, UNCLAIMED);
-    let parent = crate::algo::common::atomic_vec(n, UNCLAIMED);
+    let cluster: Vec<AtomicU32> = par::par_map(n, |_| AtomicU32::new(NONE_V));
 
     // Shift for every vertex; start round = floor(shift).
     let start: Vec<u32> = par::par_map(n, |v| {
@@ -74,65 +138,54 @@ pub fn ldd<G: Graph>(g: &G, beta: f64, seed: u64) -> LddResult {
         rng.next_exp(beta) as u32
     });
     let max_start = par::reduce_max(0, n, 0u32, |v| start[v]) as usize;
-    // Bucket vertices by start round (sequential fill; n small relative to m).
-    let mut by_round: Vec<Vec<V>> = vec![Vec::new(); max_start + 1];
-    for v in 0..n {
-        by_round[start[v] as usize].push(v as V);
-    }
+    let (order, bounds) = group_by_start(&start, max_start + 1);
+    drop(start);
 
+    let f = LddFn {
+        cluster: &cluster,
+        parent,
+    };
     let mut frontier = VertexSubset::empty(n);
     let mut rounds = 0usize;
-    let mut round = 0usize;
     loop {
-        // Activate this round's centers (if still unclaimed).
-        if round <= max_start {
-            let centers: Vec<V> = by_round[round]
-                .iter()
-                .copied()
-                .filter(|&v| {
-                    // ORDERING: AcqRel success / Acquire failure —
-                    // center-claim CAS, same protocol as `update_atomic`.
-                    cluster[v as usize]
-                        .compare_exchange(UNCLAIMED, v as u64, Ordering::AcqRel, Ordering::Acquire)
-                        .map(|_| {
-                            parent[v as usize].store(v as u64, Ordering::Relaxed);
-                        })
-                        .is_ok()
-                })
-                .collect();
-            if !centers.is_empty() {
-                let mut prev = frontier.to_vec();
-                prev.extend_from_slice(&centers);
-                frontier = VertexSubset::from_sparse(n, prev);
-            }
-        }
-        if frontier.is_empty() && round > max_start {
+        if rounds <= max_start {
+            // This round's vertices that no cluster has reached become
+            // centers. Nothing else runs between edge_map rounds and each
+            // vertex only ever claims itself, so plain stores suffice.
+            let centers = par::filter_slice(&order[bounds[rounds]..bounds[rounds + 1]], |&v| {
+                cluster[v as usize].load(Ordering::Relaxed) == NONE_V
+            });
+            par::par_for_grain(0, centers.len(), par::DEFAULT_GRAIN, |i| {
+                let c = centers[i];
+                cluster[c as usize].store(c, Ordering::Relaxed);
+                parent.set(c, c);
+            });
+            frontier.add_disjoint(&centers);
+        } else if frontier.is_empty() {
             break;
         }
-        let f = LddFn {
-            cluster: &cluster,
-            parent: &parent,
-        };
         frontier = edge_map(g, &mut frontier, &f, EdgeMapOpts::default());
         rounds += 1;
-        round += 1;
     }
+    let cluster = cluster.into_iter().map(AtomicU32::into_inner).collect();
+    (cluster, rounds)
+}
 
+/// Decompose `g` with parameter `beta` (the paper uses `β = 0.2` for the
+/// connectivity family, §5.3).
+pub fn ldd<G: Graph>(g: &G, beta: f64, seed: u64) -> LddResult {
+    let parent: Vec<AtomicU32> = par::par_map(g.num_vertices(), |_| AtomicU32::new(NONE_V));
+    let (cluster, rounds) = ldd_into(g, beta, seed, &parent);
     LddResult {
-        cluster: cluster.into_iter().map(|c| c.into_inner() as V).collect(),
-        parent: parent
-            .into_iter()
-            .map(|p| {
-                let p = p.into_inner();
-                if p == UNCLAIMED {
-                    NONE_V
-                } else {
-                    p as V
-                }
-            })
-            .collect(),
+        cluster,
+        parent: parent.into_iter().map(AtomicU32::into_inner).collect(),
         rounds,
     }
+}
+
+/// [`ldd`] without the BFS parents: just the cluster id of each vertex.
+pub(crate) fn ldd_clusters<G: Graph>(g: &G, beta: f64, seed: u64) -> Vec<V> {
+    ldd_into(g, beta, seed, &NoParents).0
 }
 
 /// Count the directed edges whose endpoints lie in different clusters.

@@ -11,8 +11,8 @@
 //! | [`betweenness`] | Single-source betweenness | chunked, fwd/bwd |
 //! | [`spanner`] | O(k)-spanner (MPX15) | LDD |
 //! | [`ldd`] | Low-diameter decomposition | chunked |
-//! | [`connectivity`] | Connectivity | LDD + contraction |
-//! | [`spanning_forest`] | Spanning forest | LDD + contraction |
+//! | [`connectivity`] | Connectivity | LDD + union-find finish |
+//! | [`spanning_forest`] | Spanning forest | LDD + union-find finish |
 //! | [`biconnectivity`] | Biconnectivity | BFS tree + filtered CC |
 //! | [`mis`] | Maximal independent set | rootset greedy |
 //! | [`maximal_matching`] | Maximal matching | graphFilter |

@@ -5,11 +5,17 @@
 //! (`O(n)` for `k = Θ(log n)`, the paper's default `k = ⌈log₂ n⌉`), stretch
 //! `O(k)` whp.
 
-use crate::algo::connectivity::pair_key;
 use crate::algo::ldd::ldd;
 use sage_graph::{Graph, NONE_V, V};
 use sage_parallel as par;
 use sage_parallel::ConcurrentMap;
+
+/// Pack an undirected pair into a canonical u64 key.
+#[inline]
+fn pair_key(a: V, b: V) -> u64 {
+    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+    ((lo as u64) << 32) | hi as u64
+}
 
 /// Build an O(k)-spanner; returns its undirected edge list.
 pub fn spanner<G: Graph>(g: &G, k: usize, seed: u64) -> Vec<(V, V)> {

@@ -1,99 +1,26 @@
-//! Spanning forest via LDD + contraction (§4.3.2).
+//! Spanning forest: LDD trees plus the links of the union-find finish
+//! (§4.3.2).
 //!
-//! Identical recursion to [`crate::algo::connectivity`], additionally keeping
-//! (i) the LDD BFS tree edges of each level and (ii) one witness original
-//! edge per contracted inter-cluster edge, which maps the recursive forest
-//! back to edges of the input graph.
+//! Same sample-then-finish shape as [`crate::algo::connectivity`]. The LDD's
+//! BFS trees span every cluster (`n − #clusters` edges), and the finish keeps
+//! the graph edge `(v, u)` behind each `unite` that actually linked two
+//! clusters — exactly `#clusters − #components` of them, none closing a
+//! cycle, since a link joins two trees that were apart. Together that is
+//! `n − #components` edges of the input graph: a spanning forest, in `O(m)`
+//! expected work and `O(n)` words of small memory.
 
-use crate::algo::connectivity::pair_key;
+use crate::algo::connectivity::unite_clusters;
 use crate::algo::ldd::ldd;
-use sage_graph::{build_csr, BuildOptions, EdgeList, Graph, NONE_V, V};
-use sage_parallel as par;
-use sage_parallel::ConcurrentMap;
+use sage_graph::{Graph, V};
 
 /// Edges of a spanning forest of `g`.
 pub fn spanning_forest<G: Graph>(g: &G, beta: f64, seed: u64) -> Vec<(V, V)> {
-    spanning_forest_rec(g, beta, seed, 0, &|a, b| (a, b))
-}
-
-fn spanning_forest_rec<G: Graph>(
-    g: &G,
-    beta: f64,
-    seed: u64,
-    depth: usize,
-    to_original: &dyn Fn(V, V) -> (V, V),
-) -> Vec<(V, V)> {
-    assert!(depth < 64, "contraction failed to converge");
-    let n = g.num_vertices();
-    if n == 0 || g.num_edges() == 0 {
-        return Vec::new();
-    }
     let d = ldd(g, beta, seed);
-    // LDD BFS tree edges (in this level's vertex space -> map to original).
-    let mut forest: Vec<(V, V)> = (0..n)
-        .filter(|&v| d.parent[v] != NONE_V && d.parent[v] as usize != v)
-        .map(|v| to_original(d.parent[v], v as V))
+    let mut forest: Vec<(V, V)> = (0..g.num_vertices())
+        .filter(|&v| d.parent[v] as usize != v)
+        .map(|v| (d.parent[v], v as V))
         .collect();
-
-    let inter = crate::algo::ldd::count_inter_cluster_edges(g, &d.cluster);
-    if inter == 0 {
-        return forest;
-    }
-    // Witness map: contracted pair -> one original edge (encoded endpoint
-    // pair of *this* level, mapped through to_original at extraction).
-    let map = ConcurrentMap::with_capacity((inter as usize).max(16));
-    let cluster = &d.cluster;
-    par::par_for(0, n, |vi| {
-        let v = vi as V;
-        let cv = cluster[vi];
-        g.for_each_edge(v, |u, _| {
-            let cu = cluster[u as usize];
-            if cv != cu {
-                map.insert_if_absent(pair_key(cv, cu), ((v as u64) << 32) | u as u64);
-            }
-        });
-    });
-    let entries = map.entries();
-    let contracted: Vec<(V, V)> = entries
-        .iter()
-        .map(|&(k, _)| ((k >> 32) as V, (k & 0xFFFF_FFFF) as V))
-        .collect();
-
-    let centers: Vec<V> = par::pack_index(n, |v| cluster[v] as usize == v);
-    let mut dense_of = vec![0u32; n];
-    for (i, &c) in centers.iter().enumerate() {
-        dense_of[c as usize] = i as u32;
-    }
-    let edges: Vec<(V, V)> = contracted
-        .iter()
-        .map(|&(a, b)| (dense_of[a as usize], dense_of[b as usize]))
-        .collect();
-    let mut cg = build_csr(
-        EdgeList::new(centers.len(), edges),
-        BuildOptions {
-            symmetrize: true,
-            block_size: 64,
-        },
-    );
-    // Contracted graphs are small-memory state (Theorem C.2).
-    cg.mark_dram_resident();
-    // Witness lookup for a contracted (dense) edge, composed with the current
-    // level's original mapping.
-    let witness = |a: V, b: V| -> (V, V) {
-        let key = pair_key(centers[a as usize], centers[b as usize]);
-        let enc = map
-            .get_encoded(key)
-            .expect("forest edge must exist in witness map");
-        to_original((enc >> 32) as V, (enc & 0xFFFF_FFFF) as V)
-    };
-    let sub = spanning_forest_rec(
-        &cg,
-        beta,
-        par::hash64(seed.wrapping_add(depth as u64 + 1)),
-        depth + 1,
-        &witness,
-    );
-    forest.extend(sub);
+    forest.append(&mut unite_clusters(g, &d.cluster, seed, true).1);
     forest
 }
 

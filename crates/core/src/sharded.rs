@@ -23,10 +23,10 @@
 
 use crate::algo::msbfs::{LevelsSink, MsBfsFn, MsBfsOutcome, MsBfsVisit, MsLevels, MAX_SOURCES};
 use crate::edge_map::edge_map_blocked;
-use crate::seq::UnionFind;
 use sage_graph::{Sharded, V};
 use sage_nvram::meter;
 use sage_parallel as par;
+use sage_parallel::ConcurrentUnionFind;
 use std::sync::atomic::Ordering;
 
 /// Wraps each shard's unit of work — the serving layer passes
@@ -220,42 +220,41 @@ pub fn bfs_levels_sharded<G: Sharded, H: ShardHook>(g: &G, src: V, hook: &H) -> 
     (ms.levels.swap_remove(0), ms.rounds)
 }
 
-/// Sharded connectivity: each shard unions its own edges into a private
-/// [`UnionFind`] over the *global* id space (in parallel, under the shard's
-/// hook), then the per-shard forests label-merge sequentially. The resulting
+/// Sharded connectivity: every shard task unites its own edges (in parallel,
+/// under the shard's hook) into **one** shared lock-free forest over the
+/// global id space — no per-shard forests, no merge pass. The resulting
 /// partition is exactly the graph's connected components — identical to the
 /// partition found by [`connectivity`](crate::algo::connectivity::connectivity)
-/// — though representatives may differ (here: minimum vertex id). DRAM cost
-/// is `num_shards + 1` parent arrays of `n` words; admission charges for it.
+/// — though representatives may differ: the forest starts from singletons
+/// and links larger roots under smaller, so here a label is its component's
+/// minimum vertex id. DRAM cost is the `n` `u32` parents plus the `n` labels,
+/// whatever the shard count; admission charges for it.
 pub fn connectivity_sharded<G: Sharded, H: ShardHook>(g: &G, hook: &H) -> Vec<V> {
-    let n = g.num_vertices();
-    let num_shards = g.num_shards();
-    let mut forests: Vec<UnionFind> = (0..num_shards).map(|_| UnionFind::new(n)).collect();
+    let n = g.num_vertices() as u64;
+    let forest = ConcurrentUnionFind::new(n as usize);
+    meter::aux_write(n);
     par::scope(|sc| {
-        for (s, uf) in forests.iter_mut().enumerate() {
+        for s in 0..g.num_shards() {
+            let forest = &forest;
             sc.spawn(move |_| {
                 hook.run(s, || {
+                    let (mut unites, mut linked) = (0u64, 0u64);
                     for v in g.shard_range(s) {
                         g.for_each_edge(v, |u, _| {
-                            uf.union(v, u);
+                            unites += 1;
+                            linked += forest.unite(v, u) as u64;
                         });
                     }
-                    // The parent array is the shard's mutable DRAM state.
-                    meter::aux_write(n as u64);
+                    // Two finds per unite, one parent written per link.
+                    meter::aux_read(2 * unites);
+                    meter::aux_write(linked);
                 });
             });
         }
     });
-    let mut merged = UnionFind::new(n);
-    for mut uf in forests {
-        for v in 0..n as V {
-            merged.union(v, uf.find(v));
-        }
-        meter::aux_read(n as u64);
-    }
-    let labels = (0..n as V).map(|v| merged.find(v)).collect();
-    meter::aux_write(n as u64);
-    labels
+    meter::aux_read(n);
+    meter::aux_write(n);
+    forest.labels()
 }
 
 #[cfg(test)]

@@ -157,6 +157,23 @@ impl VertexSubset {
         }
     }
 
+    /// Add `ids` — unique, `< n`, and none already a member — keeping the
+    /// current representation: `O(|ids|)` either way, where rebuilding via
+    /// [`Self::to_vec`] + [`Self::from_sparse`] costs `O(n)` on a dense set.
+    pub(crate) fn add_disjoint(&mut self, ids: &[V]) {
+        debug_assert!(ids.iter().all(|&v| (v as usize) < self.n));
+        meter::aux_write(ids.len() as u64);
+        match &mut self.repr {
+            Repr::Sparse(members) => members.extend_from_slice(ids),
+            Repr::Dense { flags, count } => {
+                for &v in ids {
+                    flags[v as usize] = true;
+                }
+                *count += ids.len();
+            }
+        }
+    }
+
     /// Copy out the member ids (sorted when converted from dense).
     pub fn to_vec(&self) -> Vec<V> {
         match &self.repr {

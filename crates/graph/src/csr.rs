@@ -46,11 +46,6 @@ pub struct Csr {
     pub(crate) edges: Storage<V>,
     pub(crate) weights: Option<Storage<u32>>,
     pub(crate) block_size: usize,
-    /// When set, reads are metered as small-memory (DRAM) traffic: used for
-    /// derived graphs an algorithm builds in its own state (e.g. the
-    /// contracted graphs of the connectivity recursion, §4.3.2), which live
-    /// within the PSAM's small memory rather than on NVRAM.
-    pub(crate) dram_resident: bool,
     /// Whether in-neighbors equal out-neighbors; see [`Graph::is_symmetric`].
     /// Set by the builder when it symmetrizes, or via
     /// [`Csr::mark_symmetric`] for inputs known to be undirected.
@@ -85,15 +80,8 @@ impl Csr {
             edges,
             weights,
             block_size,
-            dram_resident: false,
             symmetric: false,
         }
-    }
-
-    /// Mark this graph as living in the PSAM's small memory (DRAM): its
-    /// reads are metered as `aux_read` instead of `graph_read`.
-    pub fn mark_dram_resident(&mut self) {
-        self.dram_resident = true;
     }
 
     /// Declare that in-neighbors equal out-neighbors (undirected graph),
@@ -106,11 +94,7 @@ impl Csr {
 
     #[inline]
     pub(crate) fn meter_read(&self, words: u64) {
-        if self.dram_resident {
-            meter::aux_read(words);
-        } else {
-            meter::graph_read(words);
-        }
+        meter::graph_read(words);
     }
 
     /// The sorted neighbor array of `v` (CSR-only fast path used by

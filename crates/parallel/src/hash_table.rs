@@ -2,7 +2,7 @@
 //!
 //! The paper's maximal-matching implementation "uses a parallel hash table to
 //! aggregate edges that will be processed in a given round" (§5.3); the sparse
-//! histogram and inter-cluster edge deduplication in connectivity use the same
+//! histogram and the spanner's inter-cluster edge deduplication use the same
 //! structure. Keys are `u64` (with one reserved EMPTY sentinel), values are
 //! `u64`, and all operations are lock-free CAS loops over linear probes.
 //!

@@ -8,8 +8,9 @@
 //! on `crossbeam-deque` exposing a structured [`join`] primitive, plus the parallel
 //! primitives the paper relies on (§2): prefix sum ([`scan_add`]/[`scan_with`]),
 //! reductions ([`reduce_map`] and friends), filter/pack ([`filter_slice`],
-//! [`pack_index`]), parallel sorting, a concurrent hash table, and the histogram
-//! primitive used by k-core and densest subgraph (§4.3.4).
+//! [`pack_index`]), parallel sorting, a concurrent hash table, a lock-free
+//! union-find, and the histogram primitive used by k-core and densest subgraph
+//! (§4.3.4).
 //!
 //! All primitives are deterministic given fixed inputs (randomized helpers take
 //! explicit seeds) and degrade gracefully to sequential execution when the pool has
@@ -43,6 +44,7 @@ pub mod ops;
 pub mod pool;
 pub mod rng;
 pub mod sort;
+pub mod union_find;
 
 pub use hash_table::ConcurrentMap;
 pub use histogram::{histogram_dense, histogram_sparse, Histogram};
@@ -54,6 +56,7 @@ pub use ops::{
 pub use pool::{global_pool, in_worker, join, num_threads, scope, worker_index, Pool, Scope};
 pub use rng::{hash64, hash64_pair, SplitMix64};
 pub use sort::{merge_into, par_sort, par_sort_by, par_sort_by_key};
+pub use union_find::ConcurrentUnionFind;
 
 /// The default sequential grain size used when a caller does not specify one.
 ///

@@ -27,16 +27,20 @@ const DECODE_BUFFERS: u64 = 16;
 ///
 /// The constants are words-per-vertex upper bounds read off each algorithm's
 /// state: BFS keeps parents + frontier (+ flag scratch), PageRank three rank
-/// vectors, k-core the bucket structure + degrees + histogram scratch,
-/// connectivity LDD clusters + labels. Neighborhood probes are `O(deg)`,
-/// bounded here by a small `O(n)` term.
+/// vectors, k-core the bucket structure + degrees + histogram scratch.
+/// Connectivity keeps `u32` arrays only — the LDD's cluster ids, its
+/// vertices grouped by start round and its shifts/frontier (1.5 words), then
+/// the union-find forest and the labels (half a word each) — plus half a
+/// word of `edge_map` flag and chunk scratch: three words, and nothing in it
+/// grows with `m` (`tests/memory_bounds.rs` holds the run to this).
+/// Neighborhood probes are `O(deg)`, bounded here by a small `O(n)` term.
 pub fn dram_estimate(n: usize, query: &Query) -> u64 {
     let n = n as u64;
     match query {
         Query::Bfs { .. } => 4 * n * WORD,
         Query::PageRank { .. } => 4 * n * WORD,
         Query::KCore { .. } => 10 * n * WORD,
-        Query::Connected { .. } => 6 * n * WORD,
+        Query::Connected { .. } => 3 * n * WORD,
         Query::Neighborhood { hops: 1, .. } => n * WORD / 4 + 4096,
         Query::Neighborhood { .. } => n * WORD + 4096,
     }
@@ -69,7 +73,7 @@ pub fn batch_estimate(n: usize, batch: &QueryBatch) -> u64 {
         // 3 mask arrays + frontier scratch, plus k level outputs.
         BatchClass::Bfs => (4 * n + k * n) * WORD,
         // One labeling; per-probe state is O(1).
-        BatchClass::Connected => 6 * n * WORD + k * 64,
+        BatchClass::Connected => 3 * n * WORD + k * 64,
         // One shared power method (three rank vectors + contributions); only
         // the report pairs are per-member.
         BatchClass::PageRank { .. } => 4 * n * WORD + k * 64 + report_bytes(members, 16),
@@ -137,8 +141,9 @@ pub fn batch_estimate_for<G: Graph>(g: &G, batch: &QueryBatch) -> u64 {
 /// * the DRAM terms track the scatter-gather state shapes: a BFS unit keeps
 ///   the three global `O(n)` mask arrays plus per-shard frontier slices
 ///   whose *total* is `O(n)` (they partition the vertex set), and a
-///   connectivity unit keeps one union-find forest **per shard** plus the
-///   merged forest and the label array;
+///   connectivity unit keeps **one** lock-free union-find forest shared by
+///   every shard task plus the label array — two `u32` arrays, one word per
+///   vertex whatever the shard count;
 /// * the decode-scratch surcharge is summed over the **distinct shards the
 ///   unit actually touches** — once per unit, never once per member (a
 ///   batch of `k` 1-hop probes in one compressed shard decodes in that
@@ -152,8 +157,9 @@ pub fn sharded_batch_estimate_for(g: &ShardedCsr, batch: &QueryBatch) -> u64 {
         // 3 global mask arrays + per-shard frontiers totalling ~2n (old +
         // next across all shards), plus k level outputs.
         BatchClass::Bfs => (5 * n + k * n) * WORD,
-        // One union-find forest per shard + the merged forest + labels.
-        BatchClass::Connected => (g.num_shards() as u64 + 2) * n * WORD + k * 64,
+        // The shared forest + the labels (n u32 each), and a page per shard
+        // task for its spawned job and hook bookkeeping.
+        BatchClass::Connected => n * WORD + g.num_shards() as u64 * 4096 + k * 64,
         // Shared analytics runs see the sharded snapshot as one graph: same
         // state shapes as the monolithic batch estimate.
         BatchClass::PageRank { .. } => 4 * n * WORD + k * 64 + report_bytes(members, 16),

@@ -13,9 +13,9 @@
 //!   are a property of the graph, not the driver, so levels match the
 //!   monolithic ones bit for bit.
 //! * **Connectivity** probes share one [`connectivity_sharded`] labeling
-//!   (per-shard union-find forests, merged); the partition — hence every
-//!   `connected`/`components` answer — is identical to the monolithic
-//!   labeling's.
+//!   (every shard task unites its edges into one shared lock-free forest);
+//!   the partition — hence every `connected`/`components` answer — is
+//!   identical to the monolithic labeling's.
 //! * **Neighborhood** probes read each hop under the owning shard's scope.
 //! * **Whole-graph analytics** (PageRank, k-core) run the ordinary
 //!   algorithms over the sharded snapshot as a [`Graph`] — per-vertex
@@ -319,9 +319,9 @@ fn run_bfs_sharded(g: &ShardedCsr, members: &[crate::queue::Pending]) -> Vec<Bat
     }
 }
 
-/// Membership probes — one merged per-shard union-find labeling for the
-/// whole batch. The partition equals the monolithic labeling's, so answers
-/// are bitwise-identical.
+/// Membership probes — one shared-forest labeling for the whole batch. The
+/// partition equals the monolithic labeling's, so answers are
+/// bitwise-identical.
 fn run_connected_sharded(g: &ShardedCsr, members: &[crate::queue::Pending]) -> Vec<BatchOutcome> {
     let scopes = UnitScopes::new(g.num_shards());
     let start = Instant::now();

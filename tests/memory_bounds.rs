@@ -2,9 +2,11 @@
 //! this binary installs the tracking allocator and measures actual peak heap
 //! usage of the traversal variants and the graphFilter.
 
+use sage_core::algo::connectivity::connectivity;
 use sage_core::edge_map::{EdgeMapOpts, SparseImpl, Strategy};
+use sage_core::sharded::{connectivity_sharded, NoHook};
 use sage_core::GraphFilter;
-use sage_graph::{gen, Graph};
+use sage_graph::{gen, Graph, ShardedCsr};
 use sage_nvram::alloc_track::{self, TrackingAlloc};
 
 #[global_allocator]
@@ -13,7 +15,7 @@ static ALLOC: TrackingAlloc = TrackingAlloc;
 // The peak counter is process-global, so the measurements in this binary
 // must not run concurrently. A poisoned lock is fine to reuse: the counter
 // protocol resets per test, so one test's assertion failure must not cascade
-// PoisonErrors into the other three.
+// PoisonErrors into the others.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -96,6 +98,73 @@ fn filter_reported_size_matches_allocation() {
     assert!(
         peak >= reported as u64 / 2 && peak <= reported as u64 * 3,
         "reported {reported} vs measured peak {peak}"
+    );
+}
+
+/// The PSAM premise for connectivity: `O(n)` words of DRAM whatever `m` is.
+/// The LDD + union-find run must fit the admission estimate that admits it,
+/// and its peak must not move with the edge factor (8× more edges between
+/// `ef = 4` and `ef = 32`) or with the LDD seed. A deduplicating hash table
+/// sized by the inter-cluster edge count — what this replaced — fails all
+/// three: `O(βm)` words, and a power-of-two capacity that made the peak
+/// bimodal in the seed.
+#[test]
+fn connectivity_peak_is_o_n_whatever_m_and_seed() {
+    let _serial = serial();
+    let probe = sage_serve::Query::Connected { u: 0, v: 1 };
+    let mut peaks = Vec::new();
+    for ef in [4, 32] {
+        let g = gen::rmat(13, ef, gen::RmatParams::web(), 5);
+        let bound = sage_serve::dram_estimate(g.num_vertices(), &probe);
+        // Fill the process-lifetime scratch pools (flag buffers, chunks)
+        // first: they are retained across runs, not per-run state.
+        let _ = connectivity(&g, 0.2, 0);
+        for seed in [1, 2, 3] {
+            let peak = peak_of(|| {
+                let _ = connectivity(&g, 0.2, seed);
+            });
+            assert!(
+                peak <= bound,
+                "ef {ef} seed {seed}: peak {peak} B over the admission estimate {bound} B"
+            );
+            peaks.push(peak);
+        }
+    }
+    let (lo, hi) = (*peaks.iter().min().unwrap(), *peaks.iter().max().unwrap());
+    assert!(
+        hi as f64 <= 1.5 * lo as f64,
+        "peaks {peaks:?} spread more than 1.5x over ef = 4/32 x three seeds"
+    );
+}
+
+/// Same bound for the sharded labeling against the estimate its service
+/// acquires: one shared forest plus the labels, whatever the shard count —
+/// not a forest per shard.
+#[test]
+fn sharded_connectivity_peak_fits_its_admission_estimate() {
+    use sage_serve::queue::{BatchPolicy, Pending, RequestQueue, SchedPolicy};
+    let _serial = serial();
+    let queue = RequestQueue::new(1);
+    queue.push(Pending::new(0, sage_serve::Query::Connected { u: 0, v: 1 }).0);
+    let batch = queue
+        .pop_batch(&BatchPolicy::default(), &SchedPolicy::fifo())
+        .expect("one queued probe");
+    let mut peaks = Vec::new();
+    for ef in [4, 32] {
+        let g = ShardedCsr::from_csr(&gen::rmat(13, ef, gen::RmatParams::web(), 5), 4);
+        let bound = sage_serve::admission::sharded_batch_estimate_for(&g, &batch);
+        let peak = peak_of(|| {
+            let _ = connectivity_sharded(&g, &NoHook);
+        });
+        assert!(
+            peak <= bound,
+            "ef {ef}: peak {peak} B over the admission estimate {bound} B"
+        );
+        peaks.push(peak);
+    }
+    assert!(
+        peaks[1] as f64 <= 1.5 * peaks[0] as f64,
+        "peaks {peaks:?} grew with m"
     );
 }
 

@@ -5,9 +5,10 @@
 use proptest::prelude::*;
 use sage_core::algo::*;
 use sage_core::seq;
-use sage_core::GraphFilter;
-use sage_graph::{build_csr, BuildOptions, CompressedCsr, EdgeList, Graph, V};
+use sage_core::{DeltaOverlay, EdgeUpdate, GraphFilter};
+use sage_graph::{build_csr, BuildOptions, CompressedCsr, Csr, EdgeList, Graph, V};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Strategy: a random symmetric graph with up to `max_n` vertices.
 fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = sage_graph::Csr> {
@@ -27,6 +28,46 @@ fn arb_weighted(max_n: usize, max_m: usize) -> impl Strategy<Value = sage_graph:
             )
         })
     })
+}
+
+/// The edges a view exposes, rebuilt as a plain `Csr` of the same direction:
+/// the input `seq::components` needs to label the view's (weak) components.
+fn materialize<G: Graph>(g: &G) -> Csr {
+    let mut edges = Vec::new();
+    for u in 0..g.num_vertices() as V {
+        g.for_each_edge(u, |v, _| edges.push((u, v)));
+    }
+    let opts = BuildOptions {
+        symmetrize: false,
+        ..BuildOptions::default()
+    };
+    build_csr(EdgeList::new(g.num_vertices(), edges), opts)
+}
+
+/// The connectivity family on one view: labels partition exactly like the
+/// sequential union-find (weak components when the view is asymmetric), and
+/// the spanning forest is acyclic, made of the view's own edges, and has
+/// `n − #components` of them — which together make it spanning.
+fn check_connectivity_family<G: Graph>(g: &G, seed: u64) -> Result<(), TestCaseError> {
+    let reference = materialize(g);
+    let want = seq::canonicalize_labels(&seq::components(&reference));
+    let got = seq::canonicalize_labels(&connectivity::connectivity(g, 0.2, seed));
+    prop_assert_eq!(&got, &want);
+
+    let forest = spanning_forest::spanning_forest(g, 0.2, seed);
+    let n = g.num_vertices();
+    let mut uf = seq::UnionFind::new(n);
+    for &(u, v) in &forest {
+        prop_assert!(
+            reference.neighbors(u).contains(&v),
+            "({}, {}) not an edge",
+            u,
+            v
+        );
+        prop_assert!(uf.union(u, v), "cycle through ({}, {})", u, v);
+    }
+    prop_assert_eq!(forest.len(), n - connectivity::num_components(&want));
+    Ok(())
 }
 
 proptest! {
@@ -81,6 +122,43 @@ proptest! {
         let got = seq::canonicalize_labels(&connectivity::connectivity(&g, 0.2, seed));
         let want = seq::canonicalize_labels(&seq::components(&g));
         prop_assert_eq!(got, want);
+    }
+
+    /// Connectivity and spanning forest over every `Graph` the engine serves
+    /// them on. The asymmetric inputs pin the most-frequent-cluster skip to
+    /// `is_symmetric()`: skipping a cluster there loses the edges only that
+    /// cluster's vertices see, and the weak components come out split.
+    #[test]
+    fn connectivity_family_on_every_view(
+        n in 2usize..120,
+        raw in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..400),
+        salt in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let edges: Vec<(V, V)> = raw.iter().map(|&(u, v)| (u % n as V, v % n as V)).collect();
+        let directed = BuildOptions { symmetrize: false, ..BuildOptions::default() };
+        let asym = build_csr(EdgeList::new(n, edges.clone()), directed);
+        let sym = build_csr(EdgeList::new(n, edges.clone()), BuildOptions::default());
+        prop_assert!(sym.is_symmetric() && !asym.is_symmetric());
+        // Drop some edges through a filter, insert/delete others through an
+        // overlay; `keep` ignores direction so the symmetric views stay so.
+        let keep = |u: V, v: V| sage_parallel::hash64_pair(salt, (u.min(v) as u64) << 32 | u.max(v) as u64) % 4 != 0;
+        let updates: Vec<EdgeUpdate> = edges
+            .iter()
+            .map(|&(u, v)| if keep(u, v) { EdgeUpdate::insert(v, (u + 1) % n as V) } else { EdgeUpdate::delete(u, v) })
+            .collect();
+        for g in [sym, asym] {
+            check_connectivity_family(&g, seed)?;
+            check_connectivity_family(&CompressedCsr::from_csr(&g, 64), seed)?;
+            {
+                let mut filter = GraphFilter::new(&g, g.is_symmetric());
+                filter.filter_edges(|u, v, _| keep(u, v));
+                check_connectivity_family(&filter, seed)?;
+            }
+            let mut overlay = DeltaOverlay::new(Arc::new(g));
+            overlay.apply(&updates);
+            check_connectivity_family(&overlay, seed)?;
+        }
     }
 
     #[test]
