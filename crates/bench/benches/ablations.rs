@@ -1,12 +1,12 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
-//! LDD β (§5.3 uses 0.2), lazy vs semi-eager bucketing (App. B), the dense
-//! histogram threshold (§4.3.4), and the chunked traversal's group size
-//! floor (Algorithm 1).
+//! LDD β (§5.3 uses 0.2), lazy vs semi-eager bucketing (App. B), the
+//! reusable dense histogram against the one-shot routines (§4.3.4), and the
+//! chunked traversal's group size floor (Algorithm 1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sage_core::bucket::{Buckets, Order, Packing};
 use sage_graph::gen;
-use sage_parallel::Histogram;
+use sage_parallel::{histogram_dense, histogram_sparse, Histogram};
 
 fn bench_ldd_beta(c: &mut Criterion) {
     let g = gen::rmat(14, 16, gen::RmatParams::default(), 1);
@@ -76,28 +76,32 @@ fn bench_bucket_packing(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_histogram_threshold(c: &mut Criterion) {
-    // Dense vs sparse histogram at k-core-like neighborhood sizes. Each
-    // strategy holds its scratch across iterations, exactly like a peeling
-    // algorithm holds its Histogram across rounds.
+fn bench_histogram_variants(c: &mut Criterion) {
+    // The round-structured `Histogram` (one dense scratch held across
+    // iterations, exactly like a peeling algorithm holds it across rounds)
+    // against the two one-shot routines it replaced per round: the
+    // hash-table aggregation and the allocate-and-pack dense array. Small
+    // rounds are what a peel is made of; the large size is the other side
+    // of the inline/parallel cutoff.
     let n = 1usize << 16;
     let keys: Vec<u32> = (0..(1usize << 18))
         .map(|i| (sage_parallel::hash64(i as u64) % n as u64) as u32)
         .collect();
-    let mut group = c.benchmark_group("histogram_threshold");
+    let mut group = c.benchmark_group("histogram_variants");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
-    for (label, mut h) in [
-        ("force_dense", Histogram::dense()),
-        ("force_sparse", Histogram::sparse()),
-        ("auto_m_over_16", Histogram::with_threshold(keys.len() / 16)),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                h.count(keys.len(), keys.len(), n, |i, emit| emit(keys[i]))
-                    .len()
-            })
+    for len in [1usize << 10, 1 << 18] {
+        let keys = &keys[..len];
+        let mut h = Histogram::new();
+        group.bench_with_input(BenchmarkId::new("reused_scratch", len), &len, |b, _| {
+            b.iter(|| h.count(len, len, n, |i, emit| emit(keys[i])).len())
+        });
+        group.bench_with_input(BenchmarkId::new("one_shot_sparse", len), &len, |b, _| {
+            b.iter(|| histogram_sparse(len, len, |i, emit| emit(keys[i])).len())
+        });
+        group.bench_with_input(BenchmarkId::new("one_shot_dense", len), &len, |b, _| {
+            b.iter(|| histogram_dense(len, n, |i, emit| emit(keys[i])).len())
         });
     }
     group.finish();
@@ -123,7 +127,7 @@ criterion_group!(
     bench_ldd_beta,
     bench_connectivity_beta,
     bench_bucket_packing,
-    bench_histogram_threshold,
+    bench_histogram_variants,
     bench_kclique
 );
 criterion_main!(benches);

@@ -81,7 +81,7 @@ fn bench_histogram(c: &mut Criterion) {
     group.bench_function("dense_reused_scratch", |b| {
         // The peeling configuration: one Histogram whose dense scratch is
         // allocated on the first call and reused by every later one.
-        let mut h = par::Histogram::dense();
+        let mut h = par::Histogram::new();
         b.iter(|| h.count(keys.len(), keys.len(), 4096, |i, emit| emit(keys[i])));
     });
     group.bench_function("sparse", |b| {

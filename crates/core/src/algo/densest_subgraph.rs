@@ -25,6 +25,10 @@ pub struct DensestResult {
 /// 2-approximation, §5.3).
 pub fn densest_subgraph<G: Graph>(g: &G, eps: f64) -> DensestResult {
     assert!(eps > 0.0);
+    par::in_pool(|| peel(g, eps))
+}
+
+fn peel<G: Graph>(g: &G, eps: f64) -> DensestResult {
     let n = g.num_vertices();
     let degrees: Vec<AtomicU64> = (0..n)
         .map(|v| AtomicU64::new(g.degree(v as V) as u64))
@@ -35,7 +39,7 @@ pub fn densest_subgraph<G: Graph>(g: &G, eps: f64) -> DensestResult {
     let mut m_alive = g.num_edges() as u64;
     // Dense scratch is reused across rounds (and across queries, via the
     // current QueryArena); see the histogram module docs.
-    let mut histogram = crate::arena::fetch_histogram(g.num_edges());
+    let mut histogram = crate::arena::fetch_histogram();
 
     let mut best_density = 0.0f64;
     let mut best_round = 0u32;

@@ -1,17 +1,23 @@
 //! k-core / coreness decomposition (§4.3.4) — Julienne peeling.
 //!
 //! Vertices are bucketed by induced degree; each round peels the minimum
-//! bucket, decrements neighbors through the histogram primitive (with the
-//! paper's *dense* fallback when the peeled neighborhood is large), and
-//! re-buckets. Computes the coreness of every vertex and the number of
-//! peeling rounds (the paper reports 130,728 rounds and `kmax = 10565` on
-//! Hyperlink2012).
+//! bucket, decrements neighbors through the paper's dense histogram (one
+//! reusable scratch for the whole peel), and re-buckets. Computes the
+//! coreness of every vertex and the number of peeling rounds (the paper
+//! reports 130,728 rounds and `kmax = 10565` on Hyperlink2012).
+//!
+//! With that many rounds, what a round costs beyond its edges is the whole
+//! story, so the peel is built to cost what its keys cost: it enters the
+//! pool once ([`par::in_pool`]) instead of once per primitive, rounds below
+//! the histogram's and the buckets' own cutoffs run on the calling worker
+//! without a fork, and the only per-vertex state is one `u32` — the induced
+//! degree, which is the coreness once the vertex is peeled.
 
-use crate::bucket::{Buckets, Order, Packing};
+use crate::bucket::{Buckets, Order, Packing, SEQ_BATCH};
 use sage_graph::{Graph, V};
 use sage_nvram::meter;
 use sage_parallel as par;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Result of the k-core decomposition.
 pub struct KcoreResult {
@@ -53,46 +59,60 @@ pub fn kcore<G: Graph>(g: &G) -> KcoreResult {
 /// rounds, which is what a serving layer answering bounded-`k` queries
 /// wants. `threshold = None` is the classic full peel.
 pub fn kcore_bounded<G: Graph>(g: &G, threshold: Option<u32>) -> KcoreResult {
+    par::in_pool(|| peel(g, threshold))
+}
+
+/// `f(0..len)` collected in order: on this worker below [`SEQ_BATCH`]
+/// elements (the cutoff the bucket structure applies to the same vectors),
+/// forked above it.
+fn map_round<T: Send>(len: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if len < SEQ_BATCH {
+        (0..len).map(f).collect()
+    } else {
+        par::par_map(len, f)
+    }
+}
+
+fn peel<G: Graph>(g: &G, threshold: Option<u32>) -> KcoreResult {
     let n = g.num_vertices();
-    let m = g.num_edges();
-    let degrees: Vec<AtomicU64> = (0..n)
-        .map(|v| AtomicU64::new(g.degree(v as V) as u64))
-        .collect();
-    let peeled: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+    // Induced degree of every unpeeled vertex, clamped from below at the
+    // level being peeled; a vertex leaves at the level its degree reached,
+    // so once peeled this *is* its coreness, and `degree[u] > k` is exactly
+    // "u is still unpeeled" while level `k` is processed (the bucket just
+    // extracted held every vertex at degree `k`). All accesses are Relaxed:
+    // each round reads in one phase and writes distinct slots in the next,
+    // with a fork-join barrier (or nothing but this thread) in between.
+    let degree: Vec<AtomicU32> = par::par_map(n, |v| AtomicU32::new(g.degree(v as V) as u32));
     let mut buckets = Buckets::new(n, Order::Increasing, Packing::SemiEager, |v| {
         Some(g.degree(v) as u64)
     });
-    let mut coreness = vec![0u32; n];
-    let mut k = 0u64;
+    let mut k = 0u32;
     let mut rounds = 0usize;
     let mut truncated = false;
-    // One histogram for the whole peel: its dense scratch is allocated on
-    // first use and reused across all rounds (per-round cost stays
-    // proportional to the peeled neighborhood, not to n). Checked out of the
-    // current QueryArena so back-to-back queries reuse the scratch too.
-    let mut histogram = crate::arena::fetch_histogram(m);
+    // One histogram for the whole peel, checked out of the current
+    // QueryArena so back-to-back queries reuse its scratch too.
+    let mut histogram = crate::arena::fetch_histogram();
     while let Some((bkt, ids)) = buckets.next_bucket() {
-        if let Some(t) = threshold {
-            if bkt >= t as u64 {
-                // Everything still unpeeled (including this bucket) has
-                // induced degree ≥ t: it is in the t-core. Stop peeling.
-                truncated = true;
-                break;
-            }
+        let bkt = bkt as u32;
+        if threshold.is_some_and(|t| bkt >= t) {
+            // Everything still unpeeled (including this bucket) has
+            // induced degree ≥ t: it is in the t-core. Stop peeling.
+            truncated = true;
+            break;
         }
+        debug_assert!(bkt >= k, "buckets must come out in increasing order");
         rounds += 1;
-        k = k.max(bkt);
-        for &v in &ids {
-            coreness[v as usize] = k as u32;
-            peeled[v as usize].store(true, Ordering::Relaxed);
-        }
+        k = bkt;
         // Histogram of still-unpeeled neighbors of the peeled set (§4.3.4).
         let ids_ref: &[V] = &ids;
-        let peeled_ref = &peeled;
-        let total_keys = par::reduce_add(0, ids.len(), |i| g.degree(ids_ref[i]) as u64) as usize;
+        let total_keys = if ids.len() < SEQ_BATCH {
+            ids.iter().map(|&v| g.degree(v)).sum()
+        } else {
+            par::reduce_add(0, ids.len(), |i| g.degree(ids_ref[i]) as u64) as usize
+        };
         let counts = histogram.count(ids.len(), total_keys, n, |i, emit| {
             g.for_each_edge(ids_ref[i], |u, _| {
-                if !peeled_ref[u as usize].load(Ordering::Relaxed) {
+                if degree[u as usize].load(Ordering::Relaxed) > k {
                     emit(u);
                 }
             });
@@ -100,32 +120,29 @@ pub fn kcore_bounded<G: Graph>(g: &G, threshold: Option<u32>) -> KcoreResult {
         meter::aux_read(histogram.last_work());
         // Decrement degrees (clamped at k) and re-bucket. The histogram keys
         // are distinct, so the degree writes are race-free.
-        let counts_ref: &[(u32, u32)] = &counts;
-        let updates: Vec<(V, u64)> = par::par_map(counts.len(), |i| {
-            let (u, c) = counts_ref[i];
-            let d = degrees[u as usize].load(Ordering::Relaxed);
-            let nd = d.saturating_sub(c as u64).max(k);
-            degrees[u as usize].store(nd, Ordering::Relaxed);
-            (u, nd)
+        let updates: Vec<(V, u64)> = map_round(counts.len(), |i| {
+            let (u, c) = counts[i];
+            let slot = &degree[u as usize];
+            let nd = slot.load(Ordering::Relaxed).saturating_sub(c).max(k);
+            slot.store(nd, Ordering::Relaxed);
+            (u, nd as u64)
         });
         buckets.update_batch_distinct(&updates);
     }
     crate::arena::release_histogram(histogram);
+    let mut coreness: Vec<u32> = degree.into_iter().map(AtomicU32::into_inner).collect();
     if truncated {
-        let t = threshold.expect("truncation implies a threshold");
-        for (v, c) in coreness.iter_mut().enumerate() {
-            if !peeled[v].load(Ordering::Relaxed) {
-                *c = t;
-            }
-        }
-        // The t-core is non-empty (we stopped because vertices remained at
+        // Unpeeled vertices sit at degree ≥ t, peeled ones below it. The
+        // t-core is non-empty (we stopped because vertices remained at
         // bucket ≥ t), so min(kmax, t) = t.
-        k = t as u64;
+        let t = threshold.expect("truncation implies a threshold");
+        coreness.iter_mut().for_each(|c| *c = (*c).min(t));
+        k = t;
     }
     KcoreResult {
         coreness,
         rounds,
-        kmax: k as u32,
+        kmax: k,
     }
 }
 

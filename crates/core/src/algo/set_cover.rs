@@ -36,8 +36,12 @@ fn log_bucket(eps: f64, deg: u64) -> u64 {
 
 /// Solve the instance; `num_sets` identifies the set-side vertices.
 pub fn set_cover<G: Graph>(g: &G, num_sets: usize, eps: f64, seed: u64) -> SetCoverResult {
+    assert!(num_sets <= g.num_vertices());
+    par::in_pool(|| greedy_rounds(g, num_sets, eps, seed))
+}
+
+fn greedy_rounds<G: Graph>(g: &G, num_sets: usize, eps: f64, seed: u64) -> SetCoverResult {
     let n = g.num_vertices();
-    assert!(num_sets <= n);
     let covered: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     // claim[e]: priority-tagged winning set for element e in this round.
     let claims: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();

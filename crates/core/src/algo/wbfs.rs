@@ -43,6 +43,10 @@ impl EdgeMapFn for RelaxFn<'_> {
 /// (`u64::MAX` = unreachable). Panics on unweighted graphs.
 pub fn wbfs<G: Graph>(g: &G, src: V) -> Vec<u64> {
     assert!(g.is_weighted(), "wBFS requires an integral-weight graph");
+    par::in_pool(|| settle_by_distance(g, src))
+}
+
+fn settle_by_distance<G: Graph>(g: &G, src: V) -> Vec<u64> {
     let n = g.num_vertices();
     let dist = atomic_vec(n, u64::MAX);
     dist[src as usize].store(0, Ordering::Relaxed);

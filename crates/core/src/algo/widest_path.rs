@@ -82,6 +82,10 @@ pub fn widest_path_bf<G: Graph>(g: &G, src: V) -> Vec<u64> {
 /// Bucketed widest path (the wBFS-based implementation of §4.3.1).
 pub fn widest_path_bucketed<G: Graph>(g: &G, src: V) -> Vec<u64> {
     assert!(g.is_weighted(), "widest path requires a weighted graph");
+    par::in_pool(|| settle_by_width(g, src))
+}
+
+fn settle_by_width<G: Graph>(g: &G, src: V) -> Vec<u64> {
     let n = g.num_vertices();
     // Upper bound on edge weights, for the decreasing bucket key space.
     let wmax = par::reduce_map(

@@ -128,16 +128,10 @@ impl ScratchPools {
         }
     }
 
-    /// Fetch a histogram re-aimed at an `m`-edge workload, keeping any dense
-    /// scratch a previous query built.
-    fn fetch_histogram(&self, m: usize) -> Histogram {
-        match self.histograms.lock().pop() {
-            Some(mut h) => {
-                h.retarget_auto(m);
-                h
-            }
-            None => Histogram::auto(m),
-        }
+    /// Fetch a histogram, with the dense scratch a previous query built if
+    /// one was released here.
+    fn fetch_histogram(&self) -> Histogram {
+        self.histograms.lock().pop().unwrap_or_default()
     }
 
     /// Return a histogram for reuse (bounded count).
@@ -235,9 +229,9 @@ pub(crate) fn release_edges(buf: Vec<(V, u32)>) {
     with_pools(|p| p.release_edges(buf))
 }
 
-/// Fetch a (possibly recycled) histogram aimed at an `m`-edge workload.
-pub(crate) fn fetch_histogram(m: usize) -> Histogram {
-    with_pools(|p| p.fetch_histogram(m))
+/// Fetch a (possibly recycled) histogram from the current pools.
+pub(crate) fn fetch_histogram() -> Histogram {
+    with_pools(|p| p.fetch_histogram())
 }
 
 /// Release a histogram, retaining its dense scratch for the next query.
@@ -395,13 +389,12 @@ mod tests {
     fn histograms_recycle_with_scratch() {
         let arena = QueryArena::new();
         arena.enter(|| {
-            let mut h = fetch_histogram(100);
-            // Force the dense path so scratch is allocated.
-            let _ = h.count(10, 100_000, 64, |i, emit| emit((i % 64) as u32));
+            let mut h = fetch_histogram();
+            let _ = h.count(10, 10, 64, |i, emit| emit((i % 64) as u32));
             assert_eq!(h.dense_allocations(), 1);
             release_histogram(h);
-            let mut h2 = fetch_histogram(200);
-            let _ = h2.count(10, 100_000, 64, |i, emit| emit((i % 64) as u32));
+            let mut h2 = fetch_histogram();
+            let _ = h2.count(10, 10, 64, |i, emit| emit((i % 64) as u32));
             assert_eq!(
                 h2.dense_allocations(),
                 1,

@@ -15,7 +15,10 @@
 //!
 //! As in Julienne's practical variant, a constant number of *open* buckets is
 //! kept (the next [`OPEN_BUCKETS`] priorities) plus one overflow bucket that
-//! is re-split when reached.
+//! is re-split when reached. The overflow bucket is one bucket: a vertex
+//! whose priority changes while it stays out there is not moved (Julienne's
+//! "same bucket, no move"), so it holds one copy per vertex however often a
+//! far-out degree is decremented.
 //!
 //! # Parallel batch updates
 //!
@@ -39,12 +42,15 @@
 //!
 //! [`Buckets::new`] and the overflow re-split use the same scatter, so
 //! construction is a parallel pack instead of an `n`-iteration insert loop.
-//! Single-vertex [`Buckets::update`] remains for point updates; batches below
-//! [`SEQ_BATCH`] take the sequential path (the parallel machinery only pays
-//! off past a few cache lines of moves), and both paths are
-//! extraction-equivalent by the model tests in `tests/bucket_model.rs`.
+//! Single-vertex [`Buckets::update`] remains for point updates, and batches
+//! below [`SEQ_BATCH`] are applied inline, one move after another, then
+//! packed once like step 4: the parallel phases cost a handful of forks and
+//! allocations whatever the batch holds, which a peel's typical round (a few
+//! hundred moves) never earns back. Both paths are extraction-equivalent by
+//! the model tests in `tests/bucket_model.rs`, and neither meters anything
+//! that depends on the order of a batch's moves.
 
-use sage_graph::V;
+use sage_graph::{NONE_V, V};
 use sage_nvram::meter;
 use sage_parallel as par;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -55,8 +61,24 @@ pub const OPEN_BUCKETS: usize = 128;
 /// Bucket id meaning "never schedule this vertex again".
 pub const CLOSED: u64 = u64::MAX;
 
-/// Batch sizes below this take the sequential per-element update path.
-pub const SEQ_BATCH: usize = 48;
+/// Batch sizes below this are applied inline, on the calling thread.
+/// Measured break-even on the k-core peel of a scale-17 web R-MAT with two
+/// workers (324 batches averaging 1 230 moves): bucket updates took 16.5 ms
+/// with the cutoff at 48 and 8.5 ms at 4096, where one thread applies a
+/// batch in about the time the parallel path spends forking its phases.
+pub const SEQ_BATCH: usize = 4096;
+
+/// Batches applied inline and in parallel, process-wide.
+static PATH_CALLS: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
+
+/// `(inline, parallel)` batches applied by [`Buckets::update_batch`] and
+/// [`Buckets::update_batch_distinct`] in this process so far — lets a test
+/// show that its input reached both paths.
+#[doc(hidden)]
+pub fn path_calls() -> (u64, u64) {
+    let read = |i: usize| PATH_CALLS[i].load(Ordering::Relaxed);
+    (read(0), read(1))
+}
 
 /// Destination slots for the counting-sort scatter: one per open bucket plus
 /// the overflow bucket.
@@ -78,6 +100,23 @@ pub enum Packing {
     Lazy,
     /// The paper's semi-eager packing (Appendix B).
     SemiEager,
+}
+
+/// External priority to internal key (`Decreasing` flips the key space).
+#[inline]
+fn normalize(order: Order, external: u64) -> u64 {
+    match (order, external) {
+        (_, CLOSED) => CLOSED,
+        (Order::Increasing, k) => k,
+        (Order::Decreasing, k) => u64::MAX - 1 - k,
+    }
+}
+
+/// Whether live key `key` lies past the open range that starts at `base`,
+/// i.e. its vertex is held by the overflow bucket.
+#[inline]
+fn in_overflow(key: u64, base: u64) -> bool {
+    key != CLOSED && key >= base.saturating_add(OPEN_BUCKETS as u64)
 }
 
 /// A dynamic bucketing structure over vertices `0..n`.
@@ -249,22 +288,28 @@ impl Buckets {
     /// Keys below the current bucket are clamped to it (monotone algorithms
     /// never decrease priorities in Increasing order).
     pub fn update(&mut self, v: V, new_key: u64) {
-        let external = new_key;
-        let k = match (self.order, external) {
-            (_, CLOSED) => CLOSED,
-            (Order::Increasing, k) => k,
-            (Order::Decreasing, k) => u64::MAX - 1 - k,
-        };
+        if self.apply_move(v, new_key, true) {
+            meter::aux_write(1);
+        }
+    }
+
+    /// [`Buckets::update`] without the metering; `true` when `v` moved.
+    /// `pack_now` packs the bucket `v` left as soon as it turns stale; a
+    /// batch passes `false` and packs once from the whole batch's statistics,
+    /// so that what it packs (and meters) does not depend on the order of
+    /// its moves.
+    fn apply_move(&mut self, v: V, new_key: u64, pack_now: bool) -> bool {
+        let k = normalize(self.order, new_key);
         let old = self.ids[v as usize];
         if old == k {
-            return;
+            return false;
         }
         // Account the stale copy for semi-eager packing.
         if old != CLOSED && old >= self.base {
             let rel = (old - self.base) as usize;
             if rel < OPEN_BUCKETS {
                 self.dead[rel] += 1;
-                if self.packing == Packing::SemiEager {
+                if pack_now && self.packing == Packing::SemiEager {
                     self.maybe_pack(rel);
                 }
             }
@@ -275,9 +320,26 @@ impl Buckets {
             k.max(self.base)
         };
         self.ids[v as usize] = clamped;
-        meter::aux_write(1);
-        if clamped != CLOSED {
+        // The overflow bucket is one bucket: a vertex moving within it keeps
+        // the copy it has there (the re-split reads its current id), so the
+        // bucket holds at most one copy per vertex, not one per move.
+        if clamped != CLOSED && !(in_overflow(old, self.base) && in_overflow(clamped, self.base)) {
             self.insert(v);
+        }
+        true
+    }
+
+    /// The small-batch path: the moves one after another on this thread,
+    /// metered once.
+    fn update_batch_inline(&mut self, moves: &[(V, u64)]) {
+        PATH_CALLS[0].fetch_add(1, Ordering::Relaxed);
+        let moved = moves
+            .iter()
+            .filter(|&&(v, k)| self.apply_move(v, k, false))
+            .count();
+        meter::aux_write(moved as u64);
+        if self.packing == Packing::SemiEager {
+            self.pack_stale_buckets();
         }
     }
 
@@ -289,12 +351,10 @@ impl Buckets {
     /// [`Buckets::update_batch_distinct`], which skips the dedup sort.
     pub fn update_batch(&mut self, moves: &[(V, u64)]) {
         if moves.len() < SEQ_BATCH {
-            for &(v, k) in moves {
-                self.update(v, k);
-            }
-            return;
+            self.update_batch_inline(moves);
+        } else {
+            self.update_batch_parallel(moves, false);
         }
-        self.update_batch_parallel(moves, false);
     }
 
     /// [`Buckets::update_batch`] for batches the caller guarantees contain
@@ -317,27 +377,27 @@ impl Buckets {
             "update_batch_distinct requires at most one move per vertex"
         );
         if moves.len() < SEQ_BATCH {
-            for &(v, k) in moves {
-                self.update(v, k);
-            }
-            return;
+            self.update_batch_inline(moves);
+        } else {
+            self.update_batch_parallel(moves, true);
         }
-        self.update_batch_parallel(moves, true);
     }
 
-    fn update_batch_parallel(&mut self, moves: &[(V, u64)], distinct: bool) {
-        let base = self.base;
-        let order = self.order;
-        let normalize = |external: u64| match (order, external) {
-            (_, CLOSED) => CLOSED,
-            (Order::Increasing, k) => k,
-            (Order::Decreasing, k) => u64::MAX - 1 - k,
-        };
-        // Phase 1: normalize keys; deduplicate unless the caller vouched for
-        // distinctness. Sorting (vertex, position) pairs makes "last move
-        // wins" a run-boundary pack.
-        let survivors: Vec<(V, u64)> = if distinct {
-            par::par_map(moves.len(), |i| (moves[i].0, normalize(moves[i].1)))
+    /// The large-batch path behind [`Buckets::update_batch`] (`distinct =
+    /// false`) and [`Buckets::update_batch_distinct`] (`true`), whatever the
+    /// batch size. Public so the model tests can hold it to the same
+    /// extraction sequences as the inline path on batches far below
+    /// [`SEQ_BATCH`]; everyone else goes through those two.
+    #[doc(hidden)]
+    pub fn update_batch_parallel(&mut self, moves: &[(V, u64)], distinct: bool) {
+        PATH_CALLS[1].fetch_add(1, Ordering::Relaxed);
+        let (base, order) = (self.base, self.order);
+        // Phase 1: deduplicate unless the caller vouched for distinctness.
+        // Sorting (vertex, position) pairs makes "last move wins" a
+        // run-boundary pack.
+        let deduped: Vec<(V, u64)>;
+        let survivors: &[(V, u64)] = if distinct {
+            moves
         } else {
             let mut tagged: Vec<(V, u32)> = par::par_map(moves.len(), |i| (moves[i].0, i as u32));
             par::par_sort(&mut tagged);
@@ -345,21 +405,21 @@ impl Buckets {
             let last_of_run = par::pack_index(tagged.len(), |i| {
                 i + 1 == tagged_ref.len() || tagged_ref[i].0 != tagged_ref[i + 1].0
             });
-            par::par_map(last_of_run.len(), |j| {
-                let (v, mi) = tagged_ref[last_of_run[j] as usize];
-                (v, normalize(moves[mi as usize].1))
-            })
+            deduped = par::par_map(last_of_run.len(), |j| {
+                moves[tagged_ref[last_of_run[j] as usize].1 as usize]
+            });
+            &deduped
         };
-        // Phase 2: parallel apply. Survivors are one-per-vertex by contract,
-        // but id slots are accessed atomically anyway so that a contract
-        // violation on the distinct fast path degrades to a benign race (an
-        // unspecified move wins) instead of undefined behavior. Relaxed is
-        // enough: the scatter below only reads ids after the par_for joins.
-        let dead_add: Vec<AtomicUsize> = (0..OPEN_BUCKETS).map(|_| AtomicUsize::new(0)).collect();
-        let mut needs_insert: Vec<bool> = vec![false; survivors.len()];
-        {
-            let surv: &[(V, u64)] = &survivors;
-            let dead_ref: &[AtomicUsize] = &dead_add;
+        // Phase 2: parallel apply; yields each survivor that needs a bucket
+        // entry and `NONE_V` for the rest (closes, no-op moves and moves
+        // within the overflow bucket).
+        // Survivors are one-per-vertex by contract, but id slots are
+        // accessed atomically anyway so that a contract violation on the
+        // distinct fast path degrades to a benign race (an unspecified move
+        // wins) instead of undefined behavior. Relaxed is enough: the
+        // scatter below only reads ids after the loop joins.
+        let dead_add = [const { AtomicUsize::new(0) }; OPEN_BUCKETS];
+        let moved: Vec<V> = {
             // SAFETY: AtomicU64 has the same size, alignment, and bit
             // validity as u64, and `&mut self` guarantees exclusive access
             // to `ids` for the lifetime of this view. The pointer must carry
@@ -370,40 +430,39 @@ impl Buckets {
                     self.ids.len(),
                 )
             };
-            let flag_ptr = par::SendPtr(needs_insert.as_mut_ptr());
-            par::par_for(0, surv.len(), |j| {
-                let (v, k) = surv[j];
+            par::par_map(survivors.len(), |j| {
+                let (v, external) = survivors[j];
+                let k = normalize(order, external);
                 let slot = &ids_atomic[v as usize];
                 let old = slot.load(Ordering::Relaxed);
                 if old == k {
-                    return; // no-op move, matching the sequential early-out
+                    return NONE_V; // no-op move, matching the sequential early-out
                 }
                 if old != CLOSED && old >= base {
                     let rel = (old - base) as usize;
                     if rel < OPEN_BUCKETS {
-                        dead_ref[rel].fetch_add(1, Ordering::Relaxed);
+                        dead_add[rel].fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 let clamped = if k == CLOSED { CLOSED } else { k.max(base) };
                 slot.store(clamped, Ordering::Relaxed);
-                if clamped != CLOSED {
-                    // SAFETY: flag j belongs to this iteration alone.
-                    unsafe { flag_ptr.add(j).write(true) };
+                // As in `apply_move`: no second copy for a move within the
+                // overflow bucket.
+                if clamped == CLOSED || (in_overflow(old, base) && in_overflow(clamped, base)) {
+                    NONE_V
+                } else {
+                    v
                 }
-            });
-        }
+            })
+        };
         meter::aux_write(survivors.len() as u64);
         // Phase 3: group by destination bucket and append (scatter reads the
         // freshly written ids, which now hold each survivor's destination).
-        let flags: &[bool] = &needs_insert;
-        let surv: &[(V, u64)] = &survivors;
-        let inserted = par::pack_index(survivors.len(), |j| flags[j]);
-        let inserted_ref: &[u32] = &inserted;
-        let to_insert: Vec<V> = par::par_map(inserted.len(), |i| surv[inserted_ref[i] as usize].0);
+        let to_insert: Vec<V> = par::filter_slice(&moved, |&v| v != NONE_V);
         self.scatter_live(&to_insert);
         // Phase 4: merge dead statistics and pack once per batch.
-        for (dead, add) in self.dead.iter_mut().zip(&dead_add) {
-            *dead += add.load(Ordering::Relaxed);
+        for (dead, add) in self.dead.iter_mut().zip(dead_add) {
+            *dead += add.into_inner();
         }
         if self.packing == Packing::SemiEager {
             self.pack_stale_buckets();
@@ -432,31 +491,40 @@ impl Buckets {
         self.dead[rel] = 0;
     }
 
-    /// Batch-statistics packing: after a batch merge, pack every open bucket
-    /// whose dead entries outnumber the live ones, in parallel across
-    /// buckets. Same threshold as [`Buckets::maybe_pack`].
+    /// Batch-statistics packing: after a batch, pack every open bucket whose
+    /// dead entries outnumber the live ones — across buckets in parallel
+    /// when there is a [`SEQ_BATCH`] of entries to walk. Same threshold as
+    /// [`Buckets::maybe_pack`].
     fn pack_stale_buckets(&mut self) {
-        let decisions: Vec<bool> = (0..OPEN_BUCKETS)
-            .map(|rel| Self::needs_pack(self.dead[rel], self.open[rel].len()))
-            .collect();
-        if !decisions.iter().any(|&d| d) {
+        let mut stale = [false; OPEN_BUCKETS];
+        let mut entries = 0;
+        for (rel, bucket) in self.open.iter().enumerate() {
+            if Self::needs_pack(self.dead[rel], bucket.len()) {
+                stale[rel] = true;
+                entries += bucket.len();
+            }
+        }
+        if entries == 0 {
             return;
         }
-        {
-            let (ids, base) = (&self.ids, self.base);
-            let dec: &[bool] = &decisions;
-            par::par_for_slices(&mut self.open, |rel, bucket| {
-                if dec[rel] {
-                    let key = base + rel as u64;
-                    bucket.retain(|&v| ids[v as usize] == key);
-                }
-            });
-        }
-        for (rel, &packed) in decisions.iter().enumerate() {
-            if packed {
-                meter::aux_write(self.open[rel].len() as u64);
-                self.dead[rel] = 0;
+        let (ids, base) = (&self.ids, self.base);
+        let pack = |rel: usize, bucket: &mut Vec<V>| {
+            if stale[rel] {
+                let key = base + rel as u64;
+                bucket.retain(|&v| ids[v as usize] == key);
             }
+        };
+        if entries < SEQ_BATCH {
+            self.open
+                .iter_mut()
+                .enumerate()
+                .for_each(|(rel, b)| pack(rel, b));
+        } else {
+            par::par_for_slices(&mut self.open, pack);
+        }
+        for rel in (0..OPEN_BUCKETS).filter(|&rel| stale[rel]) {
+            meter::aux_write(self.open[rel].len() as u64);
+            self.dead[rel] = 0;
         }
     }
 
@@ -630,8 +698,8 @@ mod tests {
     #[test]
     fn batched_and_sequential_updates_agree_under_churn() {
         // Same churn as above, but one side applies each round's moves as a
-        // single (parallel-path) batch. The batch is padded with duplicate
-        // no-op moves so it clears SEQ_BATCH and exercises last-wins dedup.
+        // single batch on the parallel path, with duplicate moves so that it
+        // exercises last-wins dedup.
         let n = 500usize;
         let run = |batched: bool| {
             let mut b = Buckets::new(n, Order::Increasing, Packing::SemiEager, |v| {
@@ -657,11 +725,10 @@ mod tests {
                         batch.push((v, k + 3)); // overwritten by the later move
                         batch.push((v, k + 7));
                     }
-                    while batch.len() < SEQ_BATCH && !batch.is_empty() {
-                        let dup = batch[0].0;
+                    if let Some(&(dup, _)) = batch.first() {
                         batch.insert(0, (dup, k + 1)); // earlier duplicate loses
                     }
-                    b.update_batch(&batch);
+                    b.update_batch_parallel(&batch, false);
                 } else {
                     for &v in &moved {
                         b.update(v, k + 7);
@@ -700,7 +767,9 @@ mod tests {
 
     #[test]
     fn big_batch_with_closes_and_overflow_moves() {
-        let n = 4096usize;
+        // Sized from the cutoff: n/2 moves take the parallel batch path and
+        // the n/6 of them that re-insert take the counting-sort scatter.
+        let n = 16 * SEQ_BATCH;
         let mut b = Buckets::new(n, Order::Increasing, Packing::SemiEager, |v| {
             Some(v as u64 % 8)
         });
@@ -717,9 +786,12 @@ mod tests {
                 }
             })
             .collect();
-        assert!(batch.len() >= SEQ_BATCH);
+        let reinserted = batch.iter().filter(|&&(_, k)| k != CLOSED).count();
+        assert!(batch.len() >= SEQ_BATCH && reinserted >= SEQ_BATCH);
         // The batch is one move per vertex: exercise the distinct fast path.
+        let parallel_before = path_calls().1;
         b.update_batch_distinct(&batch);
+        assert!(path_calls().1 > parallel_before);
         let got = drain(&mut b);
         let extracted: Vec<V> = got.iter().flat_map(|(_, vs)| vs.iter().copied()).collect();
         assert!(

@@ -2,14 +2,19 @@
 //! operation sequences are applied both to [`Buckets`] and to a trivial
 //! BTreeMap reference model, and the extraction sequences must coincide.
 //!
-//! Two harnesses: `run_scenario` interleaves point updates (the sequential
-//! path), `run_batched_scenario` applies each round's moves as one
-//! `update_batch` call with duplicate vertices allowed (last move wins), at
-//! batch sizes that exercise the parallel dedup/scatter path.
+//! Two harnesses: `run_scenario` interleaves point updates,
+//! `run_batched_scenario` applies each round's moves as one batch with
+//! duplicate vertices allowed (last move wins) — once through the public
+//! entry points, which apply batches this far below `SEQ_BATCH` inline, and
+//! once through the parallel dedup/scatter path itself, so that
+//! inline ≡ parallel ≡ model on the same moves.
 
 use proptest::prelude::*;
-use sage_core::bucket::{Buckets, Order, Packing, CLOSED, OPEN_BUCKETS, SEQ_BATCH};
+use sage_core::bucket::{Buckets, Order, Packing, CLOSED, OPEN_BUCKETS};
 use std::collections::BTreeMap;
+
+/// Most moves handed over between two extractions in the batched scenarios.
+const ROUND_MOVES: usize = 144;
 
 /// Reference model: key -> sorted set of vertices.
 struct Model {
@@ -99,11 +104,7 @@ fn run_scenario(
     Ok(())
 }
 
-/// Batched variant: between extractions, drain up to `per_round` moves from
-/// the move list, apply them in order to the model, and hand the whole batch
-/// (duplicates included) to `update_batch` — or, with `distinct`, collapse
-/// it to the last move per vertex and use `update_batch_distinct`.
-/// Extraction sequences must match either way.
+/// Batched variant, on the inline and on the parallel path in turn.
 fn run_batched_scenario(
     n: usize,
     keys: Vec<u64>,
@@ -112,6 +113,33 @@ fn run_batched_scenario(
     order: Order,
     packing: Packing,
     distinct: bool,
+) -> Result<(), TestCaseError> {
+    for parallel in [false, true] {
+        let (keys, moves) = (keys.clone(), moves.clone());
+        run_batched_on(
+            n, keys, moves, per_round, order, packing, distinct, parallel,
+        )?;
+    }
+    Ok(())
+}
+
+/// Between extractions, drain up to `per_round` moves from the move list,
+/// apply them in order to the model, and hand the whole batch (duplicates
+/// included) to `update_batch` — or, with `distinct`, collapse it to the
+/// last move per vertex and use `update_batch_distinct`. With `parallel`
+/// the batch goes to `update_batch_parallel` directly instead (closes,
+/// overflow moves and no-op moves included). Extraction sequences must
+/// match the model every way.
+#[allow(clippy::too_many_arguments)]
+fn run_batched_on(
+    n: usize,
+    keys: Vec<u64>,
+    moves: Vec<(u32, u64)>,
+    per_round: usize,
+    order: Order,
+    packing: Packing,
+    distinct: bool,
+    parallel: bool,
 ) -> Result<(), TestCaseError> {
     let keys: Vec<u64> = keys.into_iter().take(n).collect();
     let mut model = Model::new(&keys, order);
@@ -130,7 +158,7 @@ fn run_batched_scenario(
             (k, vs)
         });
         let want = model.next_bucket();
-        prop_assert_eq!(&got, &want, "extraction diverged");
+        prop_assert_eq!(&got, &want, "extraction diverged (parallel = {})", parallel);
         if got.is_none() {
             break;
         }
@@ -147,7 +175,9 @@ fn run_batched_scenario(
             // Clamp like the monotone algorithms; the span deliberately
             // reaches past the open range so batches churn the overflow
             // bucket (and duplicates of the same v may land on both sides).
+            // One move in eleven closes its vertex instead.
             let key = match order {
+                _ if raw_key % 11 == 0 => CLOSED,
                 Order::Increasing => raw_key.clamp(cur, cur + 3 * OPEN_BUCKETS as u64),
                 Order::Decreasing => {
                     raw_key.clamp(cur.saturating_sub(3 * OPEN_BUCKETS as u64), cur)
@@ -162,10 +192,12 @@ fn run_batched_scenario(
             for &(v, k) in &batch {
                 last.insert(v, k);
             }
-            let deduped: Vec<(u32, u64)> = last.into_iter().collect();
-            buckets.update_batch_distinct(&deduped);
-        } else {
-            buckets.update_batch(&batch);
+            batch = last.into_iter().collect();
+        }
+        match (parallel, distinct) {
+            (true, _) => buckets.update_batch_parallel(&batch, distinct),
+            (false, true) => buckets.update_batch_distinct(&batch),
+            (false, false) => buckets.update_batch(&batch),
         }
     }
     Ok(())
@@ -209,7 +241,7 @@ proptest! {
         run_scenario(n, keys, Vec::new(), Order::Increasing, Packing::SemiEager)?;
     }
 
-    // ---- Batched (parallel-path) coverage ----
+    // ---- Batched coverage, inline and parallel path ----
 
     #[test]
     fn batched_increasing_matches_model(
@@ -217,11 +249,12 @@ proptest! {
         keys in proptest::collection::vec(0u64..200, 200),
         moves in proptest::collection::vec((any::<u32>(), 0u64..500), 0..600),
     ) {
-        // Batches of up to 3*SEQ_BATCH moves with duplicate vertices: hits
-        // the parallel dedup + counting-sort scatter, including overflow
-        // destinations (keys reach cur + 3*OPEN_BUCKETS).
+        // Batches of up to ROUND_MOVES moves with duplicate vertices: hits
+        // the parallel dedup and both inserts (the counting-sort scatter
+        // itself starts at SEQ_BATCH survivors; `bucket::tests` drives it),
+        // including overflow destinations (keys reach cur + 3*OPEN_BUCKETS).
         run_batched_scenario(
-            n, keys, moves, 3 * SEQ_BATCH, Order::Increasing, Packing::SemiEager, false,
+            n, keys, moves, ROUND_MOVES, Order::Increasing, Packing::SemiEager, false,
         )?;
     }
 
@@ -232,7 +265,7 @@ proptest! {
         moves in proptest::collection::vec((any::<u32>(), 0u64..500), 0..600),
     ) {
         run_batched_scenario(
-            n, keys, moves, 3 * SEQ_BATCH, Order::Increasing, Packing::Lazy, false,
+            n, keys, moves, ROUND_MOVES, Order::Increasing, Packing::Lazy, false,
         )?;
     }
 
@@ -245,7 +278,7 @@ proptest! {
         // Decreasing order flips the internal key space (u64::MAX - 1 - k);
         // semi-eager packing must still pack the right (reversed) buckets.
         run_batched_scenario(
-            n, keys, moves, 3 * SEQ_BATCH, Order::Decreasing, Packing::SemiEager, false,
+            n, keys, moves, ROUND_MOVES, Order::Decreasing, Packing::SemiEager, false,
         )?;
     }
 
@@ -259,7 +292,7 @@ proptest! {
         // *small* set of vertices (v % 40 — lots of duplicates per batch)
         // across the open/overflow boundary while extraction re-splits it.
         run_batched_scenario(
-            n, keys, moves, 2 * SEQ_BATCH, Order::Increasing, Packing::SemiEager, false,
+            n, keys, moves, 2 * ROUND_MOVES / 3, Order::Increasing, Packing::SemiEager, false,
         )?;
     }
 
@@ -272,7 +305,7 @@ proptest! {
         // The `update_batch_distinct` fast path (no dedup sort) used by the
         // four peeling consumers.
         run_batched_scenario(
-            n, keys, moves, 3 * SEQ_BATCH, Order::Increasing, Packing::SemiEager, true,
+            n, keys, moves, ROUND_MOVES, Order::Increasing, Packing::SemiEager, true,
         )?;
     }
 }

@@ -1,144 +1,96 @@
 //! The histogram primitive of GBBS (§4.3.4 of the paper): given a multiset of
 //! keys (vertex ids), return `(key, count)` pairs for keys that occur.
 //!
-//! Two implementations mirror the paper:
-//! * [`histogram_sparse`] — hash-table aggregation, work proportional to the
-//!   number of keys; used when the key multiset is small.
-//! * [`histogram_dense`] — atomic-array accumulation, the "dense version of
-//!   the histogram routine" the paper introduces for k-core, used when the
-//!   number of keys exceeds a threshold `t = m/c`.
+//! [`Histogram`] is the round-structured form the peeling algorithms hold:
+//! the paper's *dense* histogram (one counter per key of the universe) made
+//! reusable, so that a round costs what its keys cost. The one-shot free
+//! functions [`histogram_dense`] (allocates and packs `O(universe)` per
+//! call) and [`histogram_sparse`] (hash-table aggregation) remain for
+//! callers without a round structure and for the ablation bench.
 //!
 //! # Scratch reuse contract
 //!
 //! Peeling algorithms call the histogram once per round — 130,728 rounds for
-//! k-core on Hyperlink2012 — so a dense path that allocates, zeroes, and packs
-//! an `O(universe)` array per call turns an `O(|peeled neighborhood|)` round
-//! into an `Θ(n)` one. [`Histogram`] therefore owns *reusable* dense scratch:
+//! k-core on Hyperlink2012 — so anything `O(universe)` or freshly allocated
+//! per call turns an `O(|peeled neighborhood|)` round into a `Θ(n)` one.
+//! [`Histogram`] therefore owns:
 //!
-//! * a counter array of `universe` atomic slots, allocated on the **first**
-//!   dense call (and re-allocated only if a later call passes a larger
-//!   universe — see [`Histogram::dense_allocations`]);
-//! * a *touched-key list*, sized by demand (`min(total_keys, universe)`,
-//!   grown geometrically): the first increment of a counter appends its key,
-//!   so the result pack and the post-call reset walk only the touched keys.
+//! * a counter array of `universe` slots, allocated on the **first** call
+//!   (and re-allocated only if a later call passes a larger universe — see
+//!   [`Histogram::dense_allocations`]);
+//! * a *touched-key list* for the parallel path, sized by demand
+//!   (`min(total_keys, universe)`, grown geometrically): the first increment
+//!   of a counter appends its key, so producing the result and resetting the
+//!   counters walk only the touched keys.
 //!
-//! Between calls every counter is zero and the touched list is empty — the
-//! reset is part of `count`, not the caller's job. Per-call work is thus
+//! Between calls every counter is zero and the list is empty — the reset is
+//! part of `count`, not the caller's job. Per-call work is thus
 //! `O(total_keys + |distinct keys|)` after the first call, reported via
-//! [`Histogram::last_work`] so PSAM-metered callers can account for it. The
-//! one-shot free functions [`histogram_dense`] / [`histogram_sparse`] remain
-//! for callers without a round structure; the free dense version pays the
-//! `O(universe)` allocation + pack every call.
+//! [`Histogram::last_work`] so PSAM-metered callers can account for it.
 //!
-//! The selection policy is the paper's threshold rule `t = m/c` (via
-//! [`Histogram::auto`]).
+//! # Two ways through one scratch
+//!
+//! Almost every peeling round is small (321 of 324 on a scale-17 web R-MAT
+//! emit under `m/16` keys), and a small round is dominated by what it costs
+//! to fork, not by its keys. Rounds under `SEQ_KEYS` (32 Ki) keys therefore run on
+//! the calling thread with plain loads and stores and no touched list: first
+//! touches go straight into the output, which a second pass fills in and
+//! resets from. Larger rounds count in parallel with one `fetch_add` per key;
+//! each leaf collects the keys it touched first and claims space for
+//! `CLAIM` (64) of them at a time, so the shared cursor sees one RMW per 64
+//! distinct keys instead of one each.
 
 use crate::hash_table::ConcurrentMap;
-use crate::ops::{pack_index, par_for, par_map};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use crate::ops::{auto_grain, pack_index, par_for, par_for_grain, par_map};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
-/// Strategy selector for histogram computation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    /// Always use the hash-based sparse path.
-    Sparse,
-    /// Always use the dense atomic-array path.
-    Dense,
-    /// Use dense when `num_keys >= threshold`, else sparse.
-    Auto {
-        /// Switch-over point; the paper uses `t = m/c` for a small constant c.
-        threshold: usize,
-    },
+/// Rounds reporting fewer keys than this are counted on the calling thread.
+/// Measured break-even on the k-core peel of a scale-17 web R-MAT with two
+/// workers: below 32 Ki keys the forked scan loses to a single thread doing
+/// plain stores (18 ms against 24.5 ms over the whole peel).
+const SEQ_KEYS: usize = 1 << 15;
+
+/// First-touched keys a parallel leaf buffers before claiming their slots in
+/// the touched list with one `fetch_add`. One claim per key kept every
+/// worker on the cursor's cache line (41 ms over the same peel); at 64 the
+/// cursor no longer shows and the buffer is four cache lines of stack.
+const CLAIM: usize = 64;
+
+/// Calls that took the inline path and the parallel path, process-wide.
+static PATH_CALLS: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
+
+/// `(inline, parallel)` calls of [`Histogram::count`] in this process so
+/// far — lets a test show that its input reached both paths.
+#[doc(hidden)]
+pub fn path_calls() -> (u64, u64) {
+    // ORDERING: Relaxed — statistics; they order nothing.
+    let read = |i: usize| PATH_CALLS[i].load(Ordering::Relaxed);
+    (read(0), read(1))
 }
 
-/// Reusable dense scratch: see the module docs for the reuse contract.
-struct DenseScratch {
+/// A histogram computer with reusable dense scratch; see the module docs.
+#[derive(Default)]
+pub struct Histogram {
     /// One counter per key of the universe; all zero between calls.
     counts: Vec<AtomicU32>,
-    /// Keys whose counter left zero this call, in first-touch order. Sized
-    /// by demand (`min(total_keys, universe)`, grown geometrically) rather
-    /// than by the universe, so the persistent footprint stays one word per
-    /// universe key plus one per *observed-distinct* key — a second
-    /// universe-sized array would double the DRAM the PSAM model budgets.
+    /// Parallel path only: keys whose counter left zero this call, in claim
+    /// order. Sized by demand rather than by the universe, so the persistent
+    /// footprint stays one `u32` per universe key plus one per
+    /// *observed-distinct* key of the largest round.
     touched: Vec<AtomicU32>,
-    /// Number of valid entries in `touched`.
-    len: AtomicUsize,
-}
-
-impl DenseScratch {
-    fn new(universe: usize) -> Self {
-        Self {
-            // Zeroed in parallel: a serial O(universe) init on the first
-            // round would undercut the depth bound the reuse contract buys.
-            counts: par_map(universe, |_| AtomicU32::new(0)),
-            touched: Vec::new(),
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Make room for up to `needed` touched keys this call.
-    fn reserve_touched(&mut self, needed: usize) {
-        if self.touched.len() < needed {
-            let target = needed.next_power_of_two();
-            self.touched = par_map(target, |_| AtomicU32::new(0));
-        }
-    }
-}
-
-/// A histogram computer with a persistent strategy and reusable dense
-/// scratch (allocated on first dense use, retained across calls).
-pub struct Histogram {
-    mode: Mode,
-    scratch: Option<DenseScratch>,
+    /// Valid entries in `touched`; zero between calls.
+    cursor: AtomicUsize,
     dense_allocations: usize,
     last_work: u64,
 }
 
 impl Histogram {
-    fn with_mode(mode: Mode) -> Self {
-        Self {
-            mode,
-            scratch: None,
-            dense_allocations: 0,
-            last_work: 0,
-        }
+    /// A histogram with no scratch yet; the first call allocates it.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// The paper's default policy with `t = m/16`.
-    pub fn auto(m: usize) -> Self {
-        Self::with_mode(Mode::Auto {
-            threshold: (m / 16).max(1),
-        })
-    }
-
-    /// Always use the hash-based sparse path.
-    pub fn sparse() -> Self {
-        Self::with_mode(Mode::Sparse)
-    }
-
-    /// Always use the dense atomic-array path.
-    pub fn dense() -> Self {
-        Self::with_mode(Mode::Dense)
-    }
-
-    /// Dense when `total_keys >= threshold`, else sparse.
-    pub fn with_threshold(threshold: usize) -> Self {
-        Self::with_mode(Mode::Auto {
-            threshold: threshold.max(1),
-        })
-    }
-
-    /// Re-aim a (possibly scratch-carrying) histogram at a new workload:
-    /// resets the selection policy to [`Histogram::auto`] for `m` edges while
-    /// keeping any dense scratch, so arena-recycled histograms keep their
-    /// allocation history across queries.
-    pub fn retarget_auto(&mut self, m: usize) {
-        self.mode = Mode::Auto {
-            threshold: (m / 16).max(1),
-        };
-    }
-
-    /// Number of times the dense scratch has been (re-)allocated. Stays at 1
+    /// Number of times the counter array has been (re-)allocated. Stays at 1
     /// across repeated calls with a non-growing universe — the property the
     /// peeling regression tests pin down.
     pub fn dense_allocations(&self) -> usize {
@@ -146,9 +98,10 @@ impl Histogram {
     }
 
     /// Auxiliary (DRAM) words touched by the most recent [`Histogram::count`]
-    /// call: counter updates, touched-list traffic, and — on an allocating
-    /// call only — the `O(universe)` scratch initialization. Callers that
-    /// meter PSAM traffic report this as `aux` work.
+    /// call: `total_keys` counter updates, three per distinct key (append,
+    /// read out, reset), and — on an allocating call only — the
+    /// `O(universe)` scratch initialization. Callers that meter PSAM traffic
+    /// report this as `aux` work.
     pub fn last_work(&self) -> u64 {
         self.last_work
     }
@@ -156,12 +109,13 @@ impl Histogram {
     /// Count occurrences of each key produced by `keys_of(i)` for
     /// `i in 0..items`, where each item yields zero or more keys via the
     /// provided iterator closure. `universe` bounds key values, and
-    /// `total_keys` must upper-bound the number of keys emitted (both paths
-    /// size scratch from it; under-reporting panics rather than corrupts).
+    /// `total_keys` must upper-bound the number of keys emitted: it picks
+    /// the path and sizes the parallel path's touched list, which panics on
+    /// an under-report rather than corrupts (the inline path sizes nothing
+    /// from it and stays exact).
     ///
-    /// The returned pairs are in no particular order (the dense path returns
-    /// first-touch order, the sparse path hash order); both paths return each
-    /// occurring key exactly once.
+    /// Each occurring key is returned exactly once, in first-touch order on
+    /// the inline path and in no particular order on the parallel one.
     pub fn count<F>(
         &mut self,
         items: usize,
@@ -172,88 +126,127 @@ impl Histogram {
     where
         F: Fn(usize, &mut dyn FnMut(u32)) + Sync,
     {
-        let dense = match self.mode {
-            Mode::Sparse => false,
-            Mode::Dense => true,
-            Mode::Auto { threshold } => total_keys >= threshold,
-        };
-        if dense {
-            self.count_dense(items, total_keys, universe, keys_of)
-        } else {
-            // The sparse path's table is sized per call (O(total_keys)), so
-            // there is nothing worth retaining.
-            self.last_work = 2 * total_keys as u64;
-            histogram_sparse(items, total_keys, keys_of)
+        let grew = self.counts.len() < universe;
+        if grew {
+            // Zeroed in parallel: a serial O(universe) init on the first
+            // round would undercut the depth bound the reuse contract buys.
+            self.counts = par_map(universe, |_| AtomicU32::new(0));
+            self.dense_allocations += 1;
         }
+        let parallel = total_keys >= SEQ_KEYS;
+        // ORDERING: Relaxed — a statistic; it orders nothing.
+        PATH_CALLS[parallel as usize].fetch_add(1, Ordering::Relaxed);
+        let out = if parallel {
+            self.count_parallel(items, total_keys.min(universe), keys_of)
+        } else {
+            self.count_inline(items, keys_of)
+        };
+        self.last_work =
+            total_keys as u64 + 3 * out.len() as u64 + if grew { universe as u64 } else { 0 };
+        out
     }
 
-    fn count_dense<F>(
+    /// The small-round path: one thread, no RMWs, no touched list.
+    fn count_inline<F>(&self, items: usize, keys_of: F) -> Vec<(u32, u32)>
+    where
+        F: Fn(usize, &mut dyn FnMut(u32)),
+    {
+        let counts = &self.counts;
+        let mut out: Vec<(u32, u32)> = Vec::new();
+        for i in 0..items {
+            keys_of(i, &mut |k| {
+                let slot = &counts[k as usize];
+                // ORDERING: Relaxed — `&mut self` in `count` makes this
+                // thread the only one touching the scratch for the whole
+                // call, so the load/store pair needs no atomicity.
+                let c = slot.load(Ordering::Relaxed);
+                // ORDERING: Relaxed — single-threaded; see the load above.
+                slot.store(c + 1, Ordering::Relaxed);
+                if c == 0 {
+                    out.push((k, 0));
+                }
+            });
+        }
+        for (k, c) in &mut out {
+            let slot = &counts[*k as usize];
+            // ORDERING: Relaxed — single-threaded; see the counting loop.
+            *c = slot.load(Ordering::Relaxed);
+            // ORDERING: Relaxed — single-threaded; see the counting loop.
+            slot.store(0, Ordering::Relaxed);
+        }
+        out
+    }
+
+    /// The large-round path; `distinct_bound` caps how many keys can leave
+    /// zero (`min(total_keys, universe)`).
+    fn count_parallel<F>(
         &mut self,
         items: usize,
-        total_keys: usize,
-        universe: usize,
+        distinct_bound: usize,
         keys_of: F,
     ) -> Vec<(u32, u32)>
     where
         F: Fn(usize, &mut dyn FnMut(u32)) + Sync,
     {
-        let grew = self
-            .scratch
-            .as_ref()
-            .map_or(true, |s| s.counts.len() < universe);
-        if grew {
-            self.scratch = Some(DenseScratch::new(universe));
-            self.dense_allocations += 1;
+        if self.touched.len() < distinct_bound {
+            // `distinct_bound <= universe <= counts.len()` caps the growth.
+            let target = distinct_bound.next_power_of_two().min(self.counts.len());
+            self.touched = par_map(target, |_| AtomicU32::new(0));
         }
-        let scratch = self.scratch.as_mut().expect("scratch just ensured");
-        // At most min(total_keys, universe) distinct keys can be touched;
-        // `total_keys` must upper-bound the emitted keys (as in the sparse
-        // path, whose table is sized the same way).
-        scratch.reserve_touched(total_keys.min(universe));
-        let scratch = &*scratch;
-        let counts = &scratch.counts;
-        let touched = &scratch.touched;
-        let cursor = &scratch.len;
-        par_for(0, items, |i| {
-            keys_of(i, &mut |k| {
-                // Exactly one thread sees the 0 -> 1 transition and appends
-                // the key; every counter reaching zero again happens only in
-                // the reset below, after all increments joined.
-                // ORDERING: Relaxed throughout — within the phase only the
-                // RMW atomicity of each counter/cursor is needed (the 0 -> 1
-                // transition and the claimed append slot are unique per
-                // key); cross-phase visibility of counts and appends comes
-                // from the fork-join barrier (SpinLatch Release/Acquire in
-                // `join`), not from these accesses.
-                if counts[k as usize].fetch_add(1, Ordering::Relaxed) == 0 {
-                    // ORDERING: Relaxed — the RMW claim is unique; see above.
-                    let at = cursor.fetch_add(1, Ordering::Relaxed);
-                    // ORDERING: Relaxed — slot `at` is exclusively ours.
-                    touched[at].store(k, Ordering::Relaxed);
-                }
-            });
+        let (counts, touched, cursor) = (&self.counts, &self.touched, &self.cursor);
+        // Claim slots for a leaf's buffered first touches and write them.
+        let flush = |keys: &[u32]| {
+            // ORDERING: Relaxed — only the RMW's atomicity is needed: it
+            // hands each leaf a range no other leaf gets. The appends reach
+            // the read-out below through the fork-join barrier (SpinLatch
+            // Release/Acquire in `join`), not through this access.
+            let at = cursor.fetch_add(keys.len(), Ordering::Relaxed);
+            for (slot, &k) in touched[at..at + keys.len()].iter().zip(keys) {
+                // ORDERING: Relaxed — the claimed range is exclusively ours.
+                slot.store(k, Ordering::Relaxed);
+            }
+        };
+        let block = auto_grain(items);
+        par_for_grain(0, items.div_ceil(block), 1, |b| {
+            let mut buf = [0u32; CLAIM];
+            let mut filled = 0;
+            for i in b * block..((b + 1) * block).min(items) {
+                keys_of(i, &mut |k| {
+                    // Exactly one thread sees the 0 -> 1 transition and
+                    // records the key; counters return to zero only in the
+                    // read-out below, after all increments joined.
+                    // ORDERING: Relaxed — only the RMW's atomicity is
+                    // needed (a unique 0 -> 1 per key); visibility of the
+                    // final counts comes from the fork-join barrier.
+                    if counts[k as usize].fetch_add(1, Ordering::Relaxed) == 0 {
+                        buf[filled] = k;
+                        filled += 1;
+                        if filled == CLAIM {
+                            flush(&buf);
+                            filled = 0;
+                        }
+                    }
+                });
+            }
+            flush(&buf[..filled]);
         });
         // ORDERING: Relaxed — the counting phase fully happened-before this
         // read via the fork-join barrier above.
         let t = cursor.load(Ordering::Relaxed);
-        let out: Vec<(u32, u32)> = par_map(t, |i| {
-            // ORDERING: Relaxed — phase-separated reads; see cursor note.
-            let k = touched[i].load(Ordering::Relaxed);
+        // Read out and reset only the touched keys, in one pass: they are
+        // distinct, so each counter belongs to exactly one iteration.
+        let out = par_map(t, |i| {
             // ORDERING: Relaxed — phase-separated read; see cursor note.
-            (k, counts[k as usize].load(Ordering::Relaxed))
-        });
-        // Reset only the touched keys so the next call starts clean without
-        // an O(universe) sweep.
-        par_for(0, t, |i| {
-            // ORDERING: Relaxed — touched keys are distinct, so each counter
-            // is reset by exactly one iteration; no cross-thread ordering.
             let k = touched[i].load(Ordering::Relaxed);
-            // ORDERING: Relaxed — exclusive reset; see note above.
-            counts[k as usize].store(0, Ordering::Relaxed);
+            let slot = &counts[k as usize];
+            // ORDERING: Relaxed — phase-separated read; see cursor note.
+            let c = slot.load(Ordering::Relaxed);
+            // ORDERING: Relaxed — exclusive reset; see the note above.
+            slot.store(0, Ordering::Relaxed);
+            (k, c)
         });
-        // ORDERING: Relaxed — runs after the reset phase's join barrier.
+        // ORDERING: Relaxed — runs after the read-out's join barrier.
         cursor.store(0, Ordering::Relaxed);
-        self.last_work = total_keys as u64 + 3 * t as u64 + if grew { universe as u64 } else { 0 };
         out
     }
 }
@@ -307,6 +300,14 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
+    impl Histogram {
+        /// The between-calls invariant of the reuse contract.
+        fn scratch_is_clean(&self) -> bool {
+            self.cursor.load(Ordering::Relaxed) == 0
+                && self.counts.iter().all(|c| c.load(Ordering::Relaxed) == 0)
+        }
+    }
+
     fn reference(keys: &[u32]) -> HashMap<u32, u32> {
         let mut m = HashMap::new();
         for &k in keys {
@@ -344,46 +345,91 @@ mod tests {
     }
 
     #[test]
-    fn reusable_dense_matches_reference() {
+    fn inline_and_parallel_paths_match_reference_on_the_same_keys() {
         let keys = keys_fixture(10_000);
-        let mut h = Histogram::dense();
-        let got = h.count(keys.len(), keys.len(), 100, |i, emit| emit(keys[i]));
-        check_against_reference(&keys, &got);
+        assert!(keys.len() < SEQ_KEYS);
+        let mut h = Histogram::new();
+        // An honest bound takes the inline path; `total_keys` is only an
+        // upper bound, so an inflated one sends the same keys down the
+        // parallel path.
+        let (inline0, parallel0) = path_calls();
+        let mut inline = h.count(keys.len(), keys.len(), 100, |i, emit| emit(keys[i]));
+        assert!(h.scratch_is_clean());
+        let mut parallel = h.count(keys.len(), SEQ_KEYS, 100, |i, emit| emit(keys[i]));
+        assert!(h.scratch_is_clean());
+        let (inline1, parallel1) = path_calls();
+        assert!(inline1 > inline0 && parallel1 > parallel0);
+        check_against_reference(&keys, &inline);
+        inline.sort_unstable();
+        parallel.sort_unstable();
+        assert_eq!(inline, parallel);
+        assert_eq!(h.dense_allocations(), 1);
     }
 
     #[test]
-    fn auto_switches_paths_consistently() {
+    fn one_leaf_flushes_its_claim_buffer_many_times() {
+        // A single item emitting far more than CLAIM first touches (and a
+        // remainder that is not a multiple of it), every key twice.
+        let distinct = 10 * CLAIM + 7;
+        let mut h = Histogram::new();
+        let mut got = h.count(1, SEQ_KEYS, 4096, |_, emit| {
+            for k in 0..distinct as u32 {
+                emit(k);
+                emit(k);
+            }
+        });
+        got.sort_unstable();
+        let want: Vec<(u32, u32)> = (0..distinct as u32).map(|k| (k, 2)).collect();
+        assert_eq!(got, want);
+        assert!(h.scratch_is_clean());
+    }
+
+    #[test]
+    #[should_panic]
+    fn parallel_path_panics_on_underreported_total_keys() {
+        // The touched list is sized from `total_keys`; three times as many
+        // distinct keys run off its end — a bounds panic, not a stray write.
+        let mut h = Histogram::new();
+        let _ = h.count(3 * SEQ_KEYS, SEQ_KEYS, 4 * SEQ_KEYS, |i, emit| {
+            emit(i as u32)
+        });
+    }
+
+    #[test]
+    fn inline_path_is_exact_whatever_total_keys_says() {
         let keys = keys_fixture(5_000);
-        let mut lo = Histogram::with_threshold(1)
-            .count(keys.len(), keys.len(), 100, |i, emit| emit(keys[i]));
-        let mut hi =
-            Histogram::with_threshold(usize::MAX)
-                .count(keys.len(), keys.len(), 100, |i, emit| emit(keys[i]));
-        lo.sort_unstable();
-        hi.sort_unstable();
-        assert_eq!(lo, hi);
+        let mut h = Histogram::new();
+        let got = h.count(keys.len(), 1, 100, |i, emit| emit(keys[i]));
+        check_against_reference(&keys, &got);
+        assert!(h.scratch_is_clean());
     }
 
     #[test]
-    fn dense_scratch_allocated_once_across_rounds() {
-        // The reuse contract: repeated rounds over the same universe must not
-        // re-allocate, and each round must be exact despite the shared
-        // counters (i.e., the per-touched-key reset works).
-        let mut h = Histogram::dense();
+    fn scratch_allocated_once_and_clean_across_mixed_size_rounds() {
+        // The reuse contract over 1 000 rounds on one universe, sizes on
+        // both sides of SEQ_KEYS: never re-allocate, every round exact
+        // despite the shared counters, scratch zero and cursor 0 after each.
+        let mut h = Histogram::new();
         let universe = 50_000;
-        for round in 0..20u64 {
-            let keys: Vec<u32> = (0..64)
-                .map(|i| (crate::rng::hash64(round * 1000 + i) % universe as u64) as u32)
+        for round in 0..1_000u64 {
+            let len = if round % 50 == 7 {
+                SEQ_KEYS + 1_000
+            } else {
+                1 + (crate::rng::hash64(round) % 200) as usize
+            };
+            let keys: Vec<u32> = (0..len as u64)
+                .map(|i| (crate::rng::hash64(round * 100_000 + i) % universe as u64) as u32)
                 .collect();
             let got = h.count(keys.len(), keys.len(), universe, |i, emit| emit(keys[i]));
             check_against_reference(&keys, &got);
             assert_eq!(h.dense_allocations(), 1, "round {round} re-allocated");
+            assert!(h.scratch_is_clean(), "round {round} left scratch behind");
         }
     }
 
     #[test]
-    fn dense_work_is_key_proportional_after_first_call() {
-        let mut h = Histogram::dense();
+    fn work_is_key_proportional_after_first_call() {
+        let mut h = Histogram::new();
         let universe = 100_000usize;
         let warm: Vec<u32> = (0..universe as u32).step_by(7).collect();
         let _ = h.count(warm.len(), warm.len(), universe, |i, emit| emit(warm[i]));
@@ -402,8 +448,8 @@ mod tests {
     }
 
     #[test]
-    fn dense_scratch_grows_for_larger_universe() {
-        let mut h = Histogram::dense();
+    fn scratch_grows_for_larger_universe() {
+        let mut h = Histogram::new();
         let _ = h.count(4, 4, 100, |i, emit| emit(i as u32));
         let _ = h.count(4, 4, 1_000, |i, emit| emit(900 + i as u32));
         assert_eq!(h.dense_allocations(), 2);
@@ -428,6 +474,9 @@ mod tests {
     fn empty_input() {
         assert!(histogram_dense(0, 10, |_, _| {}).is_empty());
         assert!(histogram_sparse(0, 0, |_, _| {}).is_empty());
-        assert!(Histogram::dense().count(0, 0, 10, |_, _| {}).is_empty());
+        assert!(Histogram::new().count(0, 0, 10, |_, _| {}).is_empty());
+        assert!(Histogram::new()
+            .count(0, SEQ_KEYS, 10, |_, _| {})
+            .is_empty());
     }
 }

@@ -53,7 +53,9 @@ pub use ops::{
     par_for_grain, par_for_slices, par_map, par_map_grain, reduce_add, reduce_map, reduce_max,
     reduce_min, reduce_or, scan_add, scan_with, SendPtr,
 };
-pub use pool::{global_pool, in_worker, join, num_threads, scope, worker_index, Pool, Scope};
+pub use pool::{
+    global_pool, in_pool, in_worker, join, num_threads, scope, worker_index, Pool, Scope,
+};
 pub use rng::{hash64, hash64_pair, SplitMix64};
 pub use sort::{merge_into, par_sort, par_sort_by, par_sort_by_key};
 pub use union_find::ConcurrentUnionFind;

@@ -43,7 +43,7 @@ impl<T> SendPtr<T> {
 /// Grain used when the caller passes `grain == 0`: splits the range into
 /// roughly `8 x num_threads` pieces, bounded below to amortize task overhead.
 #[inline]
-fn auto_grain(n: usize) -> usize {
+pub(crate) fn auto_grain(n: usize) -> usize {
     let pieces = 8 * crate::pool::num_threads();
     (n / pieces.max(1)).clamp(1, DEFAULT_GRAIN)
 }

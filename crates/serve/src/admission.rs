@@ -23,23 +23,38 @@ const WORD: u64 = 8;
 /// retention bound of `sage-core`'s per-query arena edge pool.
 const DECODE_BUFFERS: u64 = 16;
 
+/// Words per vertex of one k-core peel; derived in [`dram_estimate`]'s docs.
+/// The default service budget is four of these ([`max_estimate`]), so the
+/// constant also caps how many sources a BFS batch may carry.
+const KCORE_WORDS: u64 = 10;
+
 /// Estimated peak DRAM of one query, in bytes, for a graph of `n` vertices.
 ///
 /// The constants are words-per-vertex upper bounds read off each algorithm's
 /// state: BFS keeps parents + frontier (+ flag scratch), PageRank three rank
-/// vectors, k-core the bucket structure + degrees + histogram scratch.
+/// vectors.
+/// k-core holds four words for the whole peel — the induced degrees (`u32`,
+/// ½; they are the coreness array at the end), the bucket ids (1), the
+/// bucket entries (`u32` copies: one in the overflow bucket, up to two in the
+/// open range before semi-eager packing drops the stale one — 1½) and the
+/// histogram's counters and touched list (½ + ½) — and a round that
+/// decrements `d` vertices adds its `(key, count)` pairs (8 B each), its
+/// moves (16 B) and the parallel batch's two id vectors (8 B): 4·`d`/`n`
+/// more, with `d < n`. Eight words, and two for the capacity the bucket
+/// vectors grow ahead of their entries: ten. Nothing in them grows with `m`;
+/// a web R-MAT measures ≈ 3 at edge factors 4 and 32 alike.
 /// Connectivity keeps `u32` arrays only — the LDD's cluster ids, its
 /// vertices grouped by start round and its shifts/frontier (1.5 words), then
 /// the union-find forest and the labels (half a word each) — plus half a
 /// word of `edge_map` flag and chunk scratch: three words, and nothing in it
-/// grows with `m` (`tests/memory_bounds.rs` holds the run to this).
+/// grows with `m` (`tests/memory_bounds.rs` holds both runs to this).
 /// Neighborhood probes are `O(deg)`, bounded here by a small `O(n)` term.
 pub fn dram_estimate(n: usize, query: &Query) -> u64 {
     let n = n as u64;
     match query {
         Query::Bfs { .. } => 4 * n * WORD,
         Query::PageRank { .. } => 4 * n * WORD,
-        Query::KCore { .. } => 10 * n * WORD,
+        Query::KCore { .. } => KCORE_WORDS * n * WORD,
         Query::Connected { .. } => 3 * n * WORD,
         Query::Neighborhood { hops: 1, .. } => n * WORD / 4 + 4096,
         Query::Neighborhood { .. } => n * WORD + 4096,
@@ -78,7 +93,7 @@ pub fn batch_estimate(n: usize, batch: &QueryBatch) -> u64 {
         // the report pairs are per-member.
         BatchClass::PageRank { .. } => 4 * n * WORD + k * 64 + report_bytes(members, 16),
         // One shared (possibly truncated) peel; reports are per-member.
-        BatchClass::KCore { .. } => 10 * n * WORD + k * 64 + report_bytes(members, 8),
+        BatchClass::KCore { .. } => KCORE_WORDS * n * WORD + k * 64 + report_bytes(members, 8),
         // Sequential member execution: peak = the largest member.
         BatchClass::Neighborhood => {
             members
@@ -163,7 +178,7 @@ pub fn sharded_batch_estimate_for(g: &ShardedCsr, batch: &QueryBatch) -> u64 {
         // Shared analytics runs see the sharded snapshot as one graph: same
         // state shapes as the monolithic batch estimate.
         BatchClass::PageRank { .. } => 4 * n * WORD + k * 64 + report_bytes(members, 16),
-        BatchClass::KCore { .. } => 10 * n * WORD + k * 64 + report_bytes(members, 8),
+        BatchClass::KCore { .. } => KCORE_WORDS * n * WORD + k * 64 + report_bytes(members, 8),
         // Sequential member execution: peak = the largest member. A 1-hop
         // probe's frontier lives inside one shard, so its O(n) bound shrinks
         // to the owning shard's vertex range.

@@ -3,6 +3,7 @@
 //! usage of the traversal variants and the graphFilter.
 
 use sage_core::algo::connectivity::connectivity;
+use sage_core::algo::kcore::kcore;
 use sage_core::edge_map::{EdgeMapOpts, SparseImpl, Strategy};
 use sage_core::sharded::{connectivity_sharded, NoHook};
 use sage_core::GraphFilter;
@@ -134,6 +135,39 @@ fn connectivity_peak_is_o_n_whatever_m_and_seed() {
     assert!(
         hi as f64 <= 1.5 * lo as f64,
         "peaks {peaks:?} spread more than 1.5x over ef = 4/32 x three seeds"
+    );
+}
+
+/// k-core holds `O(n)` words too — degrees, the bucket structure, one dense
+/// histogram scratch and one round's key and move vectors — and must fit the
+/// admission estimate that admits it whatever the edge factor. Each run gets
+/// a fresh arena, so the histogram scratch is inside the measured window
+/// rather than parked in the shared pool by an earlier run. Two things this
+/// replaced grew with `m` instead: a hash table sized `2·keys` per round,
+/// and one more overflow-bucket entry per decrement of a far-out vertex.
+#[test]
+fn kcore_peak_fits_its_admission_estimate_whatever_m() {
+    let _serial = serial();
+    let probe = sage_serve::Query::KCore {
+        k: None,
+        vertices: Vec::new(),
+    };
+    let mut peaks = Vec::new();
+    for ef in [4, 32] {
+        let g = gen::rmat(13, ef, gen::RmatParams::web(), 5);
+        let bound = sage_serve::dram_estimate(g.num_vertices(), &probe);
+        let peak = peak_of(|| {
+            let _ = sage_core::QueryArena::new().enter(|| kcore(&g));
+        });
+        assert!(
+            peak <= bound,
+            "ef {ef}: peak {peak} B over the admission estimate {bound} B"
+        );
+        peaks.push(peak);
+    }
+    assert!(
+        peaks[1] as f64 <= 2.0 * peaks[0] as f64,
+        "peaks {peaks:?} grew more than 2x over an 8x edge factor"
     );
 }
 

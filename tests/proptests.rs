@@ -70,6 +70,87 @@ fn check_connectivity_family<G: Graph>(g: &G, seed: u64) -> Result<(), TestCaseE
     Ok(())
 }
 
+/// The peel on one (symmetric) view: the full decomposition equals
+/// `seq::coreness` of the view's own edges, and the truncated peel equals it
+/// clamped, for thresholds below, at and past `kmax`.
+fn check_peel<G: Graph>(g: &G) -> Result<(), TestCaseError> {
+    let reference = materialize(g);
+    for v in 0..g.num_vertices() as V {
+        prop_assert_eq!(g.degree(v), reference.degree(v), "degree of {}", v);
+    }
+    let want = seq::coreness(&reference);
+    let kmax = want.iter().copied().max().unwrap_or(0);
+    let full = kcore::kcore(g);
+    prop_assert_eq!(&full.coreness, &want);
+    prop_assert_eq!(full.kmax, kmax);
+    for t in [0, 1, kmax, kmax + 3] {
+        let bounded = kcore::kcore_bounded(g, Some(t));
+        let clamped: Vec<u32> = want.iter().map(|&c| c.min(t)).collect();
+        prop_assert_eq!(&bounded.coreness, &clamped, "threshold {}", t);
+        prop_assert_eq!(bounded.kmax, kmax.min(t), "threshold {}", t);
+        prop_assert!(bounded.rounds <= full.rounds, "threshold {}", t);
+    }
+    Ok(())
+}
+
+proptest! {
+    // Few cases: each builds a graph big enough to leave the inline paths.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The peel over every `Graph` the engine serves it on, on inputs where
+    /// one round hands the histogram more keys than it counts inline and the
+    /// buckets more moves than they apply inline: `fringe` degree-4 vertices
+    /// hang off a 16-regular ring of `ring` vertices, so the level-4 round
+    /// peels the whole fringe (4·`fringe` keys) and decrements most of the
+    /// ring (one move each). The engine's own path counters confirm it.
+    #[test]
+    fn peel_on_every_view_crosses_both_cutoffs(
+        fringe in 9_000usize..11_000,
+        ring in 4_500usize..5_500,
+        noise in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..300),
+        salt in any::<u64>(),
+    ) {
+        let n = ring + fringe;
+        let mut edges: Vec<(V, V)> = Vec::new();
+        for b in 0..ring {
+            edges.extend((1..=8).map(|d| (b as V, ((b + d) % ring) as V)));
+        }
+        for a in 0..fringe {
+            let picks = (0..4).map(|j| sage_parallel::hash64_pair(salt, (a * 4 + j) as u64) % ring as u64);
+            edges.extend(picks.map(|b| ((ring + a) as V, b as V)));
+        }
+        // Extra ring chords vary the upper cores from case to case.
+        edges.extend(noise.iter().map(|&(u, v)| (u % ring as V, v % ring as V)));
+        let g = build_csr(EdgeList::new(n, edges.clone()), BuildOptions::default());
+
+        let (hist, batch) = (sage_parallel::histogram::path_calls(), sage_core::bucket::path_calls());
+        check_peel(&g)?;
+        let (hist_now, batch_now) = (sage_parallel::histogram::path_calls(), sage_core::bucket::path_calls());
+        prop_assert!(hist_now.0 > hist.0 && hist_now.1 > hist.1, "histogram paths {:?} -> {:?}", hist, hist_now);
+        prop_assert!(batch_now.0 > batch.0 && batch_now.1 > batch.1, "bucket paths {:?} -> {:?}", batch, batch_now);
+
+        check_peel(&CompressedCsr::from_csr(&g, 64))?;
+        let keep = |u: V, v: V| sage_parallel::hash64_pair(salt, (u.min(v) as u64) << 32 | u.max(v) as u64) % 4 != 0;
+        {
+            let mut filter = GraphFilter::new(&g, true);
+            filter.filter_edges(|u, v, _| keep(u, v));
+            check_peel(&filter)?;
+        }
+        let updates: Vec<EdgeUpdate> = edges
+            .iter()
+            .step_by(3)
+            .filter(|&&(u, v)| u != v)
+            .map(|&(u, v)| {
+                let w = (u + 1) % n as V;
+                if keep(u, v) && w != v { EdgeUpdate::insert(v, w) } else { EdgeUpdate::delete(u, v) }
+            })
+            .collect();
+        let mut overlay = DeltaOverlay::new(Arc::new(g));
+        overlay.apply(&updates);
+        check_peel(&overlay)?;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
