@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for the paper's tunable design choices:
 //! LDD β (§5.3 uses 0.2), lazy vs semi-eager bucketing (App. B), the
 //! reusable dense histogram against the one-shot routines (§4.3.4), and the
 //! chunked traversal's group size floor (Algorithm 1).

@@ -1,26 +1,24 @@
-//! CI perf-regression gate: compare a fresh `SAGE_BENCH_JSON` report against
-//! a committed baseline.
+//! CI word-count gate: compare a fresh `SAGE_BENCH_JSON` report against a
+//! committed baseline.
 //!
 //! ```text
 //! bench_diff <fresh.json> <baseline.json>
 //! ```
 //!
-//! Exits non-zero when any gate in [`sage_bench::diff`] fails: >30%
-//! wall-time regression on records above the noise floor, >10% `graph_write`
-//! regression (zero-baseline records must stay at zero), or a `serve-batch`
-//! report whose batched qps is below 2× its unbatched qps. CI runs this
-//! after the smoke benches:
+//! Exits non-zero when the gate in [`sage_bench::diff`] fails: a record's
+//! `graph_write` rose more than 10% (a zero baseline must stay zero), a
+//! baseline record is missing from the fresh report, or nothing matched.
+//! CI runs this after the smoke run:
 //!
 //! ```text
 //! cargo run --release -p sage-bench --bin bench_diff -- \
 //!     BENCH_SCALE8.json bench/baselines/BENCH_SCALE8.json
 //! ```
 //!
-//! Baselines live under `bench/baselines/` and are refreshed by re-running
-//! the smoke benches and committing the new JSON alongside the change that
-//! legitimately moved the numbers.
+//! The baseline is refreshed by re-running the smoke command and committing
+//! the new JSON alongside the change that legitimately moved the numbers.
 
-use sage_bench::diff::{diff_reports, parse_report, DiffConfig};
+use sage_bench::diff::{diff_reports, parse_report};
 
 fn load(path: &str) -> sage_bench::diff::Report {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -46,11 +44,11 @@ fn main() {
         fresh.records.len(),
         baseline.records.len()
     );
-    let failures = diff_reports(&fresh, &baseline, &DiffConfig::from_env());
+    let failures = diff_reports(&fresh, &baseline);
     if failures.is_empty() {
         println!("bench_diff: PASS");
     } else {
-        eprintln!("bench_diff: FAIL — {} regression(s):", failures.len());
+        eprintln!("bench_diff: FAIL — {} failure(s):", failures.len());
         for f in &failures {
             eprintln!("  * {f}");
         }

@@ -1,75 +1,31 @@
 //! Bench-report regression diffing: the logic behind the `bench_diff`
-//! binary, CI's perf gate.
+//! binary, CI's word-count gate.
 //!
 //! A fresh `SAGE_BENCH_JSON` report (see [`crate::report`]) is compared
-//! against a committed baseline under `bench/baselines/`. The gate fails
-//! when, for any `(experiment, name)` record present in both reports:
+//! against a committed baseline under `bench/baselines/`. Records are
+//! matched by `(experiment, name)` and, because experiments time one
+//! problem several times (Table 1 at three sizes, Figure 6 under two pools,
+//! Figures 1 and 7 once for Sage and once for GBBS's copy pass), by their
+//! order within that key: the k-th fresh `fig7/Biconnectivity` record is
+//! compared with the k-th baseline one. One rule holds for every matched
+//! record: **`graph_write` may not rise more than 10%**, and a zero baseline
+//! must stay zero (Sage's zero-NVRAM-write invariant is exact and
+//! machine-independent). The gate also fails when
 //!
-//! * **wall time** regresses by more than 30% *and* the baseline time is
-//!   above a noise floor (default 50 ms — sub-millisecond records at smoke
-//!   scale are pure scheduler noise), or
-//! * **`graph_write` traffic** regresses by more than 10% (a zero baseline
-//!   means *any* fresh graph write fails — the Sage zero-NVRAM-write
-//!   invariant is machine-independent and exact).
+//! * the reports were produced at different scales or thread counts (the
+//!   GBBS baselines' write counts may depend on the schedule);
+//! * a baseline record has no fresh counterpart, so a renamed or dropped
+//!   problem cannot leave the gate silently;
+//! * no record matched at all.
 //!
-//! Repeated records with the same key (experiments re-time a problem several
-//! times) are folded to best-of wall time and worst-of graph writes before
-//! comparison. Additionally, three *within-run* ratio contracts are checked
-//! on the fresh report whenever it carries the relevant experiment —
-//! deliberately compared inside one report so machine speed cancels out:
-//!
-//! * `serve-batch`: batched qps ≥ 2× unbatched qps (batched execution must
-//!   keep paying for itself);
-//! * `decode-bw`: `word-hybrid` decode bandwidth ≥ 2× `per-byte` (the
-//!   word-at-a-time kernel + hybrid encoding contract);
-//! * `serve-compressed`: `compressed-batched` qps ≥ 0.5× `csr-batched`
-//!   (serving a compressed snapshot costs at most 2× throughput);
-//! * `serve-sharded`: `sharded-4` qps ≥ 0.8× `monolithic` (scatter-gather
-//!   dispatch over four shards must stay within 20% of the single-CSR
-//!   service);
-//! * `serve-sched` (three contracts): `sched-point` p99 ≤ 0.5× `fifo-point`
-//!   p99 (deadline classes must actually protect point-lookup tail latency
-//!   from an analytics backlog, measured in the same run), `pagerank-batched`
-//!   qps ≥ 2× `pagerank-unbatched` (same-parameter analytics batching must
-//!   pay for itself), and `cache-hot` qps ≥ 5× `cache-cold` (an epoch-keyed
-//!   cache hit must be far cheaper than re-running the engine);
-//! * `serve-update` (two contracts): `during-publish` qps ≥ 0.7× `steady`
-//!   qps (readers must keep serving while snapshots are compacted, flushed,
-//!   and swapped underneath them), and — on any record carrying the
-//!   schema-v6 publish fields with a nonzero budget — total publish words
-//!   ≤ budget × publishes (the flush must have stayed inside its per-publish
-//!   NVRAM write budget).
-//!
-//! Environment knobs (for local experimentation, not CI):
-//! `SAGE_BENCH_DIFF_MIN_SECONDS`, `SAGE_BENCH_DIFF_MAX_WALL_REGRESSION`
-//! (fraction, default `0.30`).
+//! Wall time is not gated: at the smoke scale every record takes
+//! microseconds to milliseconds, far below any usable noise floor. Timing
+//! claims are measured by `benchmark/` at R-MAT 16–17.
 
 use std::collections::BTreeMap;
 
-/// Wall-time regressions on records faster than this are ignored (noise).
-pub const DEFAULT_MIN_SECONDS: f64 = 0.05;
-/// Allowed fractional wall-time regression.
-pub const DEFAULT_MAX_WALL_REGRESSION: f64 = 0.30;
 /// Allowed fractional `graph_write` regression.
 pub const MAX_GRAPH_WRITE_REGRESSION: f64 = 0.10;
-/// Required batched/unbatched qps ratio in the `serve-batch` experiment.
-pub const MIN_BATCH_SPEEDUP: f64 = 2.0;
-/// Required `word-hybrid`/`per-byte` decode-bandwidth ratio in `decode-bw`.
-pub const MIN_DECODE_SPEEDUP: f64 = 2.0;
-/// Required `compressed-batched`/`csr-batched` qps ratio in
-/// `serve-compressed`.
-pub const MIN_COMPRESSED_QPS_RATIO: f64 = 0.5;
-/// Required `sharded-4`/`monolithic` qps ratio in `serve-sharded`.
-pub const MIN_SHARDED_QPS_RATIO: f64 = 0.8;
-/// Largest allowed `sched-point`/`fifo-point` p99 ratio in `serve-sched`.
-pub const MAX_SCHED_POINT_P99_RATIO: f64 = 0.5;
-/// Required `pagerank-batched`/`pagerank-unbatched` qps ratio in
-/// `serve-sched`.
-pub const MIN_SAME_PARAM_BATCH_SPEEDUP: f64 = 2.0;
-/// Required `cache-hot`/`cache-cold` qps ratio in `serve-sched`.
-pub const MIN_CACHE_HIT_SPEEDUP: f64 = 5.0;
-/// Required `during-publish`/`steady` qps ratio in `serve-update`.
-pub const MIN_UPDATE_QPS_RATIO: f64 = 0.7;
 
 /// One parsed bench record (the fields the gate cares about).
 #[derive(Clone, Debug)]
@@ -78,20 +34,8 @@ pub struct DiffRecord {
     pub experiment: String,
     /// Problem / step name.
     pub name: String,
-    /// Wall-clock seconds.
-    pub seconds: f64,
     /// NVRAM graph writes (words).
     pub graph_write: u64,
-    /// Queries per second, for throughput records.
-    pub qps: Option<f64>,
-    /// 99th-percentile latency (seconds), for throughput records.
-    pub p99: Option<f64>,
-    /// NVRAM words written by the publish pipeline (schema v6 records).
-    pub publish_words: Option<u64>,
-    /// Per-publish write budget in force, 0 = unlimited (schema v6 records).
-    pub publish_budget_words: Option<u64>,
-    /// Snapshots published during the run (schema v6 records).
-    pub publishes: Option<u64>,
 }
 
 /// A parsed report: scale/threads plus its records.
@@ -317,9 +261,9 @@ pub fn parse_report(text: &str) -> Result<Report, String> {
         Some(Json::Array(items)) => items,
         _ => return Err("report has no records array".to_string()),
     };
-    let mut out = Vec::with_capacity(records.len());
-    for r in records {
-        out.push(DiffRecord {
+    let records = records
+        .iter()
+        .map(|r| DiffRecord {
             experiment: r
                 .get("experiment")
                 .and_then(Json::as_str)
@@ -330,331 +274,94 @@ pub fn parse_report(text: &str) -> Result<Report, String> {
                 .and_then(Json::as_str)
                 .unwrap_or("?")
                 .to_string(),
-            seconds: r.get("seconds").and_then(Json::as_f64).unwrap_or(0.0),
             graph_write: r.get("graph_write").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-            qps: r.get("qps").and_then(Json::as_f64),
-            p99: r.get("p99_seconds").and_then(Json::as_f64),
-            publish_words: r
-                .get("publish_words")
-                .and_then(Json::as_f64)
-                .map(|x| x as u64),
-            publish_budget_words: r
-                .get("publish_budget_words")
-                .and_then(Json::as_f64)
-                .map(|x| x as u64),
-            publishes: r.get("publishes").and_then(Json::as_f64).map(|x| x as u64),
-        });
-    }
+        })
+        .collect();
     Ok(Report {
         scale: num("scale"),
         threads: num("threads"),
-        records: out,
+        records,
     })
 }
 
-/// Best-of/worst-of fold of repeated `(experiment, name)` records.
-fn fold(records: &[DiffRecord]) -> BTreeMap<(String, String), DiffRecord> {
-    let mut map: BTreeMap<(String, String), DiffRecord> = BTreeMap::new();
+/// Each `(experiment, name)` key's `graph_write` values, in file order.
+fn by_key(records: &[DiffRecord]) -> BTreeMap<(&str, &str), Vec<u64>> {
+    let mut map: BTreeMap<(&str, &str), Vec<u64>> = BTreeMap::new();
     for r in records {
-        map.entry((r.experiment.clone(), r.name.clone()))
-            .and_modify(|e| {
-                e.seconds = e.seconds.min(r.seconds);
-                e.graph_write = e.graph_write.max(r.graph_write);
-                e.qps = match (e.qps, r.qps) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                };
-                e.p99 = match (e.p99, r.p99) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                // Publish counters: worst-of words, first-seen budget/count.
-                e.publish_words = match (e.publish_words, r.publish_words) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                };
-                e.publish_budget_words = e.publish_budget_words.or(r.publish_budget_words);
-                e.publishes = e.publishes.or(r.publishes);
-            })
-            .or_insert_with(|| r.clone());
+        map.entry((&r.experiment, &r.name))
+            .or_default()
+            .push(r.graph_write);
     }
     map
 }
 
-/// Gate thresholds.
-#[derive(Clone, Copy, Debug)]
-pub struct DiffConfig {
-    /// Wall-time noise floor in seconds.
-    pub min_seconds: f64,
-    /// Allowed fractional wall-time regression.
-    pub max_wall_regression: f64,
-}
-
-impl Default for DiffConfig {
-    fn default() -> Self {
-        Self {
-            min_seconds: DEFAULT_MIN_SECONDS,
-            max_wall_regression: DEFAULT_MAX_WALL_REGRESSION,
-        }
-    }
-}
-
-impl DiffConfig {
-    /// Defaults overridden by `SAGE_BENCH_DIFF_*` environment variables.
-    pub fn from_env() -> Self {
-        let get = |key: &str, fallback: f64| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse::<f64>().ok())
-                .unwrap_or(fallback)
-        };
-        Self {
-            min_seconds: get("SAGE_BENCH_DIFF_MIN_SECONDS", DEFAULT_MIN_SECONDS),
-            max_wall_regression: get(
-                "SAGE_BENCH_DIFF_MAX_WALL_REGRESSION",
-                DEFAULT_MAX_WALL_REGRESSION,
-            ),
-        }
-    }
-}
-
 /// Compare a fresh report against a baseline. Returns the list of failures
 /// (empty = gate passes); informational lines go to stdout.
-pub fn diff_reports(fresh: &Report, baseline: &Report, config: &DiffConfig) -> Vec<String> {
-    let mut failures = Vec::new();
+pub fn diff_reports(fresh: &Report, baseline: &Report) -> Vec<String> {
     if fresh.scale != baseline.scale {
-        failures.push(format!(
+        return vec![format!(
             "scale mismatch: fresh 2^{} vs baseline 2^{} — regenerate the baseline",
             fresh.scale, baseline.scale
-        ));
-        return failures;
+        )];
     }
     if fresh.threads != baseline.threads {
-        failures.push(format!(
-            "thread-count mismatch: fresh {} vs baseline {} — wall times are not \
-             comparable; regenerate the baseline with the CI thread count",
+        return vec![format!(
+            "thread-count mismatch: fresh {} vs baseline {} — regenerate the baseline \
+             with the CI thread count",
             fresh.threads, baseline.threads
-        ));
-        return failures;
+        )];
     }
-    let fresh_map = fold(&fresh.records);
-    let base_map = fold(&baseline.records);
+    let fresh_map = by_key(&fresh.records);
+    let mut failures = Vec::new();
     let mut compared = 0usize;
-    let mut wall_checked = 0usize;
-    for (key, base) in &base_map {
-        let Some(new) = fresh_map.get(key) else {
-            println!("  note: {}/{} present in baseline only", key.0, key.1);
-            continue;
-        };
-        compared += 1;
-        // graph_write gate: exact and machine-independent.
-        let write_limit = (base.graph_write as f64 * (1.0 + MAX_GRAPH_WRITE_REGRESSION)) as u64;
-        if new.graph_write > write_limit {
+    for (key, base_writes) in by_key(&baseline.records) {
+        let new_writes = fresh_map.get(&key).map_or(&[][..], Vec::as_slice);
+        if new_writes.len() < base_writes.len() {
             failures.push(format!(
-                "{}/{}: graph_write regressed {} -> {} (limit {})",
-                key.0, key.1, base.graph_write, new.graph_write, write_limit
+                "{}/{}: {} baseline record(s) but only {} fresh — renamed or dropped?",
+                key.0,
+                key.1,
+                base_writes.len(),
+                new_writes.len()
             ));
         }
-        // wall gate: only above the noise floor.
-        if base.seconds >= config.min_seconds {
-            wall_checked += 1;
-            let limit = base.seconds * (1.0 + config.max_wall_regression);
-            if new.seconds > limit {
+        for (i, (&base, &new)) in base_writes.iter().zip(new_writes).enumerate() {
+            compared += 1;
+            let limit = (base as f64 * (1.0 + MAX_GRAPH_WRITE_REGRESSION)) as u64;
+            if new > limit {
                 failures.push(format!(
-                    "{}/{}: wall time regressed {:.4}s -> {:.4}s (limit {:.4}s, +{:.0}%)",
+                    "{}/{} #{}: graph_write regressed {base} -> {new} (limit {limit})",
                     key.0,
                     key.1,
-                    base.seconds,
-                    new.seconds,
-                    limit,
-                    config.max_wall_regression * 100.0
+                    i + 1
                 ));
             }
         }
     }
     println!(
-        "  compared {compared} records ({wall_checked} above the {:.0} ms wall floor)",
-        config.min_seconds * 1e3
+        "  compared {compared} records ({} in the fresh report)",
+        fresh.records.len()
     );
-    failures.extend(check_qps_ratio(
-        &fresh_map,
-        "serve-batch",
-        "batched",
-        "unbatched",
-        MIN_BATCH_SPEEDUP,
-    ));
-    failures.extend(check_qps_ratio(
-        &fresh_map,
-        "decode-bw",
-        "word-hybrid",
-        "per-byte",
-        MIN_DECODE_SPEEDUP,
-    ));
-    failures.extend(check_qps_ratio(
-        &fresh_map,
-        "serve-compressed",
-        "compressed-batched",
-        "csr-batched",
-        MIN_COMPRESSED_QPS_RATIO,
-    ));
-    failures.extend(check_qps_ratio(
-        &fresh_map,
-        "serve-sharded",
-        "sharded-4",
-        "monolithic",
-        MIN_SHARDED_QPS_RATIO,
-    ));
-    failures.extend(check_p99_ratio(
-        &fresh_map,
-        "serve-sched",
-        "sched-point",
-        "fifo-point",
-        MAX_SCHED_POINT_P99_RATIO,
-    ));
-    failures.extend(check_qps_ratio(
-        &fresh_map,
-        "serve-sched",
-        "pagerank-batched",
-        "pagerank-unbatched",
-        MIN_SAME_PARAM_BATCH_SPEEDUP,
-    ));
-    failures.extend(check_qps_ratio(
-        &fresh_map,
-        "serve-sched",
-        "cache-hot",
-        "cache-cold",
-        MIN_CACHE_HIT_SPEEDUP,
-    ));
-    failures.extend(check_qps_ratio(
-        &fresh_map,
-        "serve-update",
-        "during-publish",
-        "steady",
-        MIN_UPDATE_QPS_RATIO,
-    ));
-    failures.extend(check_publish_budget(&fresh_map));
-    failures
-}
-
-/// The schema-v6 publish contract: on every fresh record carrying publish
-/// counters with a nonzero budget, the pipeline's total NVRAM writes must
-/// fit inside `budget × publishes` (each individual publish was admitted
-/// against the per-publish budget at runtime; this re-checks the recorded
-/// evidence). No-op on reports without publish records.
-fn check_publish_budget(fresh: &BTreeMap<(String, String), DiffRecord>) -> Vec<String> {
-    let mut failures = Vec::new();
-    for ((experiment, name), r) in fresh {
-        let (Some(words), Some(budget)) = (r.publish_words, r.publish_budget_words) else {
-            continue;
-        };
-        let publishes = r.publishes.unwrap_or(1).max(1);
-        if budget == 0 {
-            continue; // unlimited
-        }
-        println!(
-            "  {experiment}: {name} published {words} words over {publishes} publish(es), budget {budget} words each"
-        );
-        if words > budget.saturating_mul(publishes) {
-            failures.push(format!(
-                "{experiment}/{name}: publish wrote {words} words over {publishes} publish(es), exceeding the {budget}-word per-publish budget"
-            ));
-        }
+    if compared == 0 {
+        failures.push("no fresh record matched the baseline: nothing was checked".to_string());
     }
     failures
-}
-
-/// A within-run *tail-latency* contract: in `experiment`, `num`'s p99 must
-/// be at **most** `max_ratio` × `den`'s p99 (smaller is better — the mirror
-/// image of [`check_qps_ratio`]). No-op when either record is absent.
-fn check_p99_ratio(
-    fresh: &BTreeMap<(String, String), DiffRecord>,
-    experiment: &str,
-    num: &str,
-    den: &str,
-    max_ratio: f64,
-) -> Vec<String> {
-    let get = |name: &str| {
-        fresh
-            .get(&(experiment.to_string(), name.to_string()))
-            .and_then(|r| r.p99)
-    };
-    match (get(num), get(den)) {
-        (Some(a), Some(b)) => {
-            let ratio = a / b.max(1e-9);
-            println!(
-                "  {experiment}: {num} p99 {:.3} ms vs {den} p99 {:.3} ms \
-                 ({ratio:.2}x, gate <= {max_ratio:.1}x)",
-                a * 1e3,
-                b * 1e3,
-            );
-            if ratio > max_ratio {
-                vec![format!(
-                    "{experiment}: {num} p99 is {ratio:.2}x {den} \
-                     (required <= {max_ratio:.1}x)"
-                )]
-            } else {
-                Vec::new()
-            }
-        }
-        _ => Vec::new(),
-    }
-}
-
-/// A within-run ratio contract: in `experiment`, `num`'s qps must be at
-/// least `min_ratio` × `den`'s qps. No-op when either record is absent
-/// (the experiment was not part of this run).
-fn check_qps_ratio(
-    fresh: &BTreeMap<(String, String), DiffRecord>,
-    experiment: &str,
-    num: &str,
-    den: &str,
-    min_ratio: f64,
-) -> Vec<String> {
-    let get = |name: &str| {
-        fresh
-            .get(&(experiment.to_string(), name.to_string()))
-            .and_then(|r| r.qps)
-    };
-    match (get(num), get(den)) {
-        (Some(a), Some(b)) => {
-            let ratio = a / b.max(1e-9);
-            println!(
-                "  {experiment}: {num} {a:.1} qps vs {den} {b:.1} qps \
-                 ({ratio:.2}x, gate >= {min_ratio:.1}x)"
-            );
-            if ratio < min_ratio {
-                vec![format!(
-                    "{experiment}: {num} qps is only {ratio:.2}x {den} \
-                     (required >= {min_ratio:.1}x)"
-                )]
-            } else {
-                Vec::new()
-            }
-        }
-        _ => Vec::new(),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report(records: &[(&str, &str, f64, u64, Option<f64>)]) -> Report {
+    fn report(records: &[(&str, &str, u64)]) -> Report {
         Report {
             scale: 8,
             threads: 2,
             records: records
                 .iter()
-                .map(|&(e, n, s, w, q)| DiffRecord {
+                .map(|&(e, n, w)| DiffRecord {
                     experiment: e.to_string(),
                     name: n.to_string(),
-                    seconds: s,
                     graph_write: w,
-                    qps: q,
-                    p99: q.map(|_| 0.001),
-                    publish_words: None,
-                    publish_budget_words: None,
-                    publishes: None,
                 })
                 .collect(),
         }
@@ -663,17 +370,12 @@ mod tests {
     #[test]
     fn parses_the_writers_output() {
         crate::report::set_experiment("diff-unit-test");
-        crate::report::record("BFS", 0.5, sage_nvram::MeterSnapshot::default());
-        crate::report::record_latency(
-            "batched",
-            0.25,
-            sage_nvram::MeterSnapshot::default(),
-            crate::report::LatencyStats {
-                queries: 64,
-                clients: 4,
-                qps: 256.0,
-                p50: 0.001,
-                p99: 0.004,
+        crate::report::record(
+            "BFS",
+            0.5,
+            sage_nvram::MeterSnapshot {
+                graph_write: 7,
+                ..Default::default()
             },
         );
         let text = crate::report::to_json(8, 2);
@@ -685,346 +387,91 @@ mod tests {
             .iter()
             .find(|r| r.experiment == "diff-unit-test" && r.name == "BFS")
             .expect("BFS record");
-        assert!((r.seconds - 0.5).abs() < 1e-9);
-        let l = parsed
-            .records
-            .iter()
-            .find(|r| r.experiment == "diff-unit-test" && r.name == "batched")
-            .expect("latency record");
-        assert_eq!(l.qps, Some(256.0));
+        assert_eq!(r.graph_write, 7);
     }
 
     #[test]
     fn passes_when_identical() {
-        let base = report(&[("fig1", "BFS", 0.2, 0, None)]);
-        let fresh = report(&[("fig1", "BFS", 0.2, 0, None)]);
-        assert!(diff_reports(&fresh, &base, &DiffConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn fails_on_wall_regression_above_floor() {
-        let base = report(&[("fig1", "BFS", 0.2, 0, None)]);
-        let fresh = report(&[("fig1", "BFS", 0.3, 0, None)]);
-        let fails = diff_reports(&fresh, &base, &DiffConfig::default());
-        assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("wall time regressed"));
-    }
-
-    #[test]
-    fn ignores_wall_noise_below_floor() {
-        let base = report(&[("fig1", "BFS", 0.001, 0, None)]);
-        let fresh = report(&[("fig1", "BFS", 0.040, 0, None)]); // 40x but tiny
-        assert!(diff_reports(&fresh, &base, &DiffConfig::default()).is_empty());
+        let base = report(&[("fig1", "BFS", 0), ("fig7", "Maximal-Matching", 5244)]);
+        let fresh = report(&[("fig1", "BFS", 0), ("fig7", "Maximal-Matching", 5244)]);
+        assert!(diff_reports(&fresh, &base).is_empty());
     }
 
     #[test]
     fn zero_write_baseline_rejects_any_write() {
-        let base = report(&[("table1", "BFS", 0.0001, 0, None)]);
-        let fresh = report(&[("table1", "BFS", 0.0001, 1, None)]);
-        let fails = diff_reports(&fresh, &base, &DiffConfig::default());
-        assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("graph_write"));
-    }
-
-    #[test]
-    fn graph_write_tolerates_ten_percent() {
-        let base = report(&[("fig7", "MM", 0.0001, 1000, None)]);
-        let ok = report(&[("fig7", "MM", 0.0001, 1100, None)]);
-        let bad = report(&[("fig7", "MM", 0.0001, 1101, None)]);
-        assert!(diff_reports(&ok, &base, &DiffConfig::default()).is_empty());
-        assert_eq!(diff_reports(&bad, &base, &DiffConfig::default()).len(), 1);
-    }
-
-    #[test]
-    fn repeated_records_fold_to_best_wall_time() {
-        let base = report(&[("fig6", "BFS", 0.2, 0, None)]);
-        // Three timed repeats; the best one is within bounds.
-        let fresh = report(&[
-            ("fig6", "BFS", 0.9, 0, None),
-            ("fig6", "BFS", 0.21, 0, None),
-            ("fig6", "BFS", 0.5, 0, None),
-        ]);
-        assert!(diff_reports(&fresh, &base, &DiffConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn batch_speedup_gate() {
-        let base = report(&[]);
-        let good = report(&[
-            ("serve-batch", "unbatched", 0.2, 0, Some(100.0)),
-            ("serve-batch", "batched", 0.1, 0, Some(900.0)),
-        ]);
-        assert!(diff_reports(&good, &base, &DiffConfig::default()).is_empty());
-        let bad = report(&[
-            ("serve-batch", "unbatched", 0.2, 0, Some(100.0)),
-            ("serve-batch", "batched", 0.1, 0, Some(150.0)),
-        ]);
-        let fails = diff_reports(&bad, &base, &DiffConfig::default());
-        assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("serve-batch"));
-    }
-
-    #[test]
-    fn decode_speedup_gate() {
-        let base = report(&[]);
-        let good = report(&[
-            ("decode-bw", "per-byte", 0.001, 0, Some(1.0e8)),
-            ("decode-bw", "word-at-a-time", 0.001, 0, Some(1.8e8)),
-            ("decode-bw", "word-hybrid", 0.001, 0, Some(2.5e8)),
-        ]);
-        assert!(diff_reports(&good, &base, &DiffConfig::default()).is_empty());
-        let bad = report(&[
-            ("decode-bw", "per-byte", 0.001, 0, Some(1.0e8)),
-            ("decode-bw", "word-hybrid", 0.001, 0, Some(1.5e8)),
-        ]);
-        let fails = diff_reports(&bad, &base, &DiffConfig::default());
+        let base = report(&[("table1", "BFS", 0)]);
+        let fresh = report(&[("table1", "BFS", 1)]);
+        let fails = diff_reports(&fresh, &base);
         assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("decode-bw"));
+        assert!(fails[0].contains("graph_write regressed 0 -> 1"));
     }
 
     #[test]
-    fn compressed_serving_gate() {
-        let base = report(&[]);
-        let good = report(&[
-            ("serve-compressed", "csr-batched", 0.2, 0, Some(1000.0)),
-            (
-                "serve-compressed",
-                "compressed-batched",
-                0.2,
-                0,
-                Some(600.0),
-            ),
-        ]);
-        assert!(diff_reports(&good, &base, &DiffConfig::default()).is_empty());
-        let bad = report(&[
-            ("serve-compressed", "csr-batched", 0.2, 0, Some(1000.0)),
-            (
-                "serve-compressed",
-                "compressed-batched",
-                0.2,
-                0,
-                Some(400.0),
-            ),
-        ]);
-        let fails = diff_reports(&bad, &base, &DiffConfig::default());
+    fn graph_write_tolerates_ten_percent_but_not_eleven() {
+        let base = report(&[("fig7", "MM", 1000)]);
+        assert!(diff_reports(&report(&[("fig7", "MM", 1100)]), &base).is_empty());
+        // One word over the limit already fails.
+        let fails = diff_reports(&report(&[("fig7", "MM", 1101)]), &base);
         assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("compressed-batched"));
-    }
-
-    #[test]
-    fn sharded_serving_gate() {
-        let base = report(&[]);
-        let good = report(&[
-            ("serve-sharded", "monolithic", 0.2, 0, Some(1000.0)),
-            ("serve-sharded", "sharded-4", 0.2, 0, Some(900.0)),
-        ]);
-        assert!(diff_reports(&good, &base, &DiffConfig::default()).is_empty());
-        let bad = report(&[
-            ("serve-sharded", "monolithic", 0.2, 0, Some(1000.0)),
-            ("serve-sharded", "sharded-4", 0.2, 0, Some(700.0)),
-        ]);
-        let fails = diff_reports(&bad, &base, &DiffConfig::default());
+        assert!(fails[0].contains("1000 -> 1101"));
+        let fails = diff_reports(&report(&[("fig7", "MM", 1110)]), &base);
         assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("sharded-4"));
-    }
-
-    fn sched_record(name: &'static str, qps: f64, p99: f64) -> DiffRecord {
-        DiffRecord {
-            experiment: "serve-sched".to_string(),
-            name: name.to_string(),
-            seconds: 0.1,
-            graph_write: 0,
-            qps: Some(qps),
-            p99: Some(p99),
-            publish_words: None,
-            publish_budget_words: None,
-            publishes: None,
-        }
-    }
-
-    fn sched_report(records: Vec<DiffRecord>) -> Report {
-        Report {
-            scale: 8,
-            threads: 2,
-            records,
-        }
+        assert!(fails[0].contains("1000 -> 1110"));
     }
 
     #[test]
-    fn sched_point_p99_gate() {
-        let base = report(&[]);
-        let good = sched_report(vec![
-            sched_record("fifo-point", 100.0, 0.010),
-            sched_record("sched-point", 100.0, 0.002),
-        ]);
-        assert!(diff_reports(&good, &base, &DiffConfig::default()).is_empty());
-        let bad = sched_report(vec![
-            sched_record("fifo-point", 100.0, 0.010),
-            sched_record("sched-point", 100.0, 0.009),
-        ]);
-        let fails = diff_reports(&bad, &base, &DiffConfig::default());
+    fn repeated_records_are_compared_in_order() {
+        // GBBS's copy pass writes, then Sage's run under the same name must
+        // not: folding the two would hide a write in the second.
+        let fig7 = |sage_writes| {
+            report(&[
+                ("fig7", "Biconnectivity", 8344),
+                ("fig7", "Biconnectivity", sage_writes),
+            ])
+        };
+        let base = fig7(0);
+        assert!(diff_reports(&fig7(0), &base).is_empty());
+        let bad = fig7(1);
+        let fails = diff_reports(&bad, &base);
         assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("sched-point p99"));
+        assert!(fails[0].contains("Biconnectivity #2"));
     }
 
     #[test]
-    fn same_param_batching_and_cache_gates() {
-        let base = report(&[]);
-        let good = sched_report(vec![
-            sched_record("pagerank-unbatched", 100.0, 0.01),
-            sched_record("pagerank-batched", 300.0, 0.01),
-            sched_record("cache-cold", 100.0, 0.01),
-            sched_record("cache-hot", 900.0, 0.001),
-        ]);
-        assert!(diff_reports(&good, &base, &DiffConfig::default()).is_empty());
-        let bad = sched_report(vec![
-            sched_record("pagerank-unbatched", 100.0, 0.01),
-            sched_record("pagerank-batched", 150.0, 0.01),
-            sched_record("cache-cold", 100.0, 0.01),
-            sched_record("cache-hot", 300.0, 0.001),
-        ]);
-        let fails = diff_reports(&bad, &base, &DiffConfig::default());
+    fn a_renamed_record_fails() {
+        let base = report(&[("fig1", "BFS", 0), ("fig1", "k-Core", 0)]);
+        let fresh = report(&[("fig1", "BFS", 0), ("fig1", "KCore", 0)]);
+        let fails = diff_reports(&fresh, &base);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].contains("fig1/k-Core"));
+    }
+
+    #[test]
+    fn an_empty_fresh_report_fails() {
+        let base = report(&[("fig1", "BFS", 0)]);
+        let fails = diff_reports(&report(&[]), &base);
         assert_eq!(fails.len(), 2, "{fails:?}");
-        assert!(fails[0].contains("pagerank-batched"));
-        assert!(fails[1].contains("cache-hot"));
-    }
-
-    #[test]
-    fn p99_survives_the_writer_roundtrip() {
-        crate::report::set_experiment("sched-roundtrip");
-        crate::report::record_sched(
-            "sched-point",
-            0.1,
-            sage_nvram::MeterSnapshot::default(),
-            crate::report::LatencyStats {
-                queries: 40,
-                clients: 1,
-                qps: 400.0,
-                p50: 0.0005,
-                p99: 0.002,
-            },
-            crate::report::SchedStats::default(),
-        );
-        let parsed = parse_report(&crate::report::to_json(8, 2)).unwrap();
-        let r = parsed
-            .records
-            .iter()
-            .find(|r| r.experiment == "sched-roundtrip")
-            .unwrap();
-        assert_eq!(r.p99, Some(0.002));
-        assert_eq!(r.qps, Some(400.0));
-    }
-
-    fn update_record(name: &'static str, qps: f64, publish: Option<(u64, u64, u64)>) -> DiffRecord {
-        DiffRecord {
-            experiment: "serve-update".to_string(),
-            name: name.to_string(),
-            seconds: 0.1,
-            graph_write: 0,
-            qps: Some(qps),
-            p99: Some(0.001),
-            publish_words: publish.map(|(w, _, _)| w),
-            publish_budget_words: publish.map(|(_, b, _)| b),
-            publishes: publish.map(|(_, _, n)| n),
-        }
-    }
-
-    #[test]
-    fn update_qps_gate() {
-        let base = report(&[]);
-        let good = sched_report(vec![
-            update_record("steady", 1000.0, None),
-            update_record("during-publish", 800.0, Some((4096, 1 << 26, 3))),
-        ]);
-        assert!(diff_reports(&good, &base, &DiffConfig::default()).is_empty());
-        let bad = sched_report(vec![
-            update_record("steady", 1000.0, None),
-            update_record("during-publish", 500.0, Some((4096, 1 << 26, 3))),
-        ]);
-        let fails = diff_reports(&bad, &base, &DiffConfig::default());
-        assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("during-publish"));
-    }
-
-    #[test]
-    fn publish_budget_gate() {
-        let base = report(&[]);
-        // 3 publishes of <= 1000 words each: within budget.
-        let good = sched_report(vec![update_record(
-            "during-publish",
-            1000.0,
-            Some((2500, 1000, 3)),
-        )]);
-        assert!(diff_reports(&good, &base, &DiffConfig::default()).is_empty());
-        // 3001 words over 3 publishes can't all have fit under 1000 each.
-        let bad = sched_report(vec![update_record(
-            "during-publish",
-            1000.0,
-            Some((3001, 1000, 3)),
-        )]);
-        let fails = diff_reports(&bad, &base, &DiffConfig::default());
-        assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("budget"));
-        // Budget 0 means unlimited: never gated.
-        let unlimited = sched_report(vec![update_record(
-            "during-publish",
-            1000.0,
-            Some((1 << 40, 0, 1)),
-        )]);
-        assert!(diff_reports(&unlimited, &base, &DiffConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn publish_fields_survive_the_writer_roundtrip() {
-        crate::report::set_experiment("update-roundtrip");
-        crate::report::record_publish(
-            "during-publish",
-            0.1,
-            sage_nvram::MeterSnapshot::default(),
-            crate::report::LatencyStats {
-                queries: 64,
-                clients: 2,
-                qps: 533.3,
-                p50: 0.001,
-                p99: 0.004,
-            },
-            crate::report::PublishStats {
-                publish_words: 4096,
-                publish_budget_words: 1 << 26,
-                publishes: 3,
-                epoch: 3,
-            },
-        );
-        let parsed = parse_report(&crate::report::to_json(8, 2)).unwrap();
-        let r = parsed
-            .records
-            .iter()
-            .find(|r| r.experiment == "update-roundtrip")
-            .unwrap();
-        assert_eq!(r.publish_words, Some(4096));
-        assert_eq!(r.publish_budget_words, Some(1 << 26));
-        assert_eq!(r.publishes, Some(3));
-        assert_eq!(r.qps, Some(533.3));
+        assert!(fails[1].contains("nothing was checked"));
+        // Even an empty baseline checks nothing, and says so.
+        assert_eq!(diff_reports(&report(&[]), &report(&[])).len(), 1);
     }
 
     #[test]
     fn scale_mismatch_is_refused() {
-        let mut base = report(&[("fig1", "BFS", 0.2, 0, None)]);
+        let mut base = report(&[("fig1", "BFS", 0)]);
         base.scale = 10;
-        let fresh = report(&[("fig1", "BFS", 0.2, 0, None)]);
-        let fails = diff_reports(&fresh, &base, &DiffConfig::default());
+        let fresh = report(&[("fig1", "BFS", 0)]);
+        let fails = diff_reports(&fresh, &base);
         assert_eq!(fails.len(), 1);
         assert!(fails[0].contains("scale mismatch"));
     }
 
     #[test]
     fn thread_count_mismatch_is_refused() {
-        // A baseline generated at a different thread count would make every
-        // wall comparison meaningless — refuse rather than mis-gate.
-        let mut base = report(&[("fig1", "BFS", 0.2, 0, None)]);
+        let mut base = report(&[("fig1", "BFS", 0)]);
         base.threads = 16;
-        let fresh = report(&[("fig1", "BFS", 0.2, 0, None)]);
-        let fails = diff_reports(&fresh, &base, &DiffConfig::default());
+        let fresh = report(&[("fig1", "BFS", 0)]);
+        let fails = diff_reports(&fresh, &base);
         assert_eq!(fails.len(), 1);
         assert!(fails[0].contains("thread-count mismatch"));
     }

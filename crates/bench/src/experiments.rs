@@ -1,6 +1,7 @@
-//! One function per table/figure of the paper; see DESIGN.md's
-//! per-experiment index. All output is printed in the row/series structure
-//! of the original, with measured wall-clock times and PSAM-projected costs.
+//! One function per table/figure of the paper, named after it (`fig1`,
+//! `table3`, `numa`, ...). All output is printed in the row/series
+//! structure of the original, with measured wall-clock times and
+//! PSAM-projected costs.
 
 use crate::catalog::{self, GraphType};
 use crate::suite::Suite;
@@ -590,1399 +591,6 @@ pub fn numa() {
         model.cross_socket, device_thrash, remote_read_cost
     );
     println!("measured local degree-count wall time: {:.4}s", run.seconds);
-}
-
-/// Serving throughput/latency: mixed queries from concurrent clients over
-/// one shared snapshot via [`sage_serve::GraphService`] (not part of the
-/// paper; the production-serving experiment for the scoped-runtime
-/// architecture). Emits a schema-v2 latency record per configuration —
-/// CI uploads the `SAGE_SCALE=8` run as `BENCH_SERVE8.json`.
-pub fn serve() {
-    use sage_serve::{Query, ServiceBuilder};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    crate::report::set_experiment("serve");
-    // A social-network-like snapshot in the suite's degree regime; the
-    // service takes ownership (one loaded snapshot, many queries).
-    let scale = Suite::base_scale();
-    let csr = sage_graph::gen::rmat(scale, 16, sage_graph::gen::RmatParams::default(), 0x5E);
-    let n = csr.num_vertices();
-    let clients = 4usize;
-    let per_client = 16usize.max(256 / clients.max(1));
-    println!(
-        "\n== serve: rmat-2^{scale} ({n} vertices), {clients} clients x {per_client} mixed queries =="
-    );
-
-    let service = Arc::new(ServiceBuilder::new().start(csr));
-    // Sources must have out-edges or point queries degenerate to no-ops.
-    let snapshot = service.snapshot();
-    let live: Arc<Vec<V>> = Arc::new((0..n as V).filter(|&v| snapshot.degree(v) > 0).collect());
-    let before = sage_nvram::Meter::global().snapshot();
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|c| {
-            let service = Arc::clone(&service);
-            let live = Arc::clone(&live);
-            // sage-lint: allow(thread-spawn) -- open-loop load generator simulating concurrent clients
-            std::thread::spawn(move || {
-                let pick = |k: usize| live[k % live.len()];
-                let mut latencies = Vec::with_capacity(per_client);
-                let mut traffic = sage_nvram::MeterSnapshot::default();
-                for i in 0..per_client {
-                    let q = match (c + i) % 5 {
-                        0 => Query::Bfs { src: pick(i * 13) },
-                        1 => Query::PageRank {
-                            iters: 5,
-                            damping: sage_serve::DEFAULT_DAMPING,
-                            vertices: vec![pick(i)],
-                        },
-                        2 => Query::KCore {
-                            k: None,
-                            vertices: vec![pick(i * 7)],
-                        },
-                        3 => Query::Connected {
-                            u: pick(i),
-                            v: pick(i * 31),
-                        },
-                        _ => Query::Neighborhood {
-                            src: pick(i),
-                            hops: 1 + (i % 2) as u8,
-                        },
-                    };
-                    let q0 = Instant::now();
-                    let r = service.query(q);
-                    latencies.push(q0.elapsed().as_secs_f64());
-                    assert_eq!(r.traffic.graph_write, 0, "NVRAM write in a served query");
-                    traffic = traffic.plus(&r.traffic);
-                }
-                (latencies, traffic)
-            })
-        })
-        .collect();
-    let mut latencies = Vec::new();
-    let mut traffic = sage_nvram::MeterSnapshot::default();
-    for h in handles {
-        let (l, t) = h.join().expect("client thread");
-        latencies.extend(l);
-        traffic = traffic.plus(&t);
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    let stats = crate::report::LatencyStats::from_latencies(&mut latencies, clients, elapsed);
-    crate::report::record_latency("mixed", elapsed, traffic, stats);
-
-    let global_delta = sage_nvram::Meter::global().snapshot().since(&before);
-    let svc = service.stats();
-    print_table(
-        "serve throughput",
-        &[
-            "queries",
-            "qps",
-            "p50 ms",
-            "p99 ms",
-            "peak-inflight",
-            "peak-DRAM MB",
-        ],
-        &[(
-            "mixed".to_string(),
-            vec![
-                format!("{}", stats.queries),
-                format!("{:.1}", stats.qps),
-                format!("{:.3}", stats.p50 * 1e3),
-                format!("{:.3}", stats.p99 * 1e3),
-                format!("{}", svc.peak_inflight),
-                format!("{:.1}", svc.peak_inflight_bytes as f64 / 1e6),
-            ],
-        )],
-    );
-    println!(
-        "per-query attributed NVRAM reads: {} words (global delta {}); graph writes: {}",
-        traffic.graph_read, global_delta.graph_read, traffic.graph_write
-    );
-    assert!(
-        traffic.graph_read <= global_delta.graph_read,
-        "scoped reads must reconcile with the global meter"
-    );
-}
-
-/// Batched vs unbatched point-query serving: the same BFS-point-query
-/// backlog is pushed through a batching [`sage_serve::GraphService`]
-/// (`max_batch` = 32, so up to 32 sources share one bit-parallel MS-BFS
-/// traversal) and through a batching-disabled one, and both sides report
-/// qps/p50/p99 as schema-v2 records (`batched` / `unbatched`). The CI
-/// regression gate (`bench_diff`) asserts batched qps ≥ 2× unbatched.
-pub fn serve_batch() {
-    use sage_serve::{BatchPolicy, Query, ServiceBuilder, Ticket};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    crate::report::set_experiment("serve-batch");
-    let scale = Suite::base_scale();
-    let clients = 4usize;
-    let per_client = 64usize;
-    let batch_size = 32usize;
-    println!(
-        "\n== serve-batch: rmat-2^{scale}, {clients} clients x {per_client} BFS point queries, \
-         batch size {batch_size} vs unbatched =="
-    );
-
-    let mut qps = Vec::new();
-    for (name, max_batch) in [("unbatched", 1usize), ("batched", batch_size)] {
-        // Same seed → the identical snapshot for both configurations.
-        let csr = sage_graph::gen::rmat(scale, 16, sage_graph::gen::RmatParams::default(), 0x5E);
-        let n = csr.num_vertices();
-        let live: Arc<Vec<V>> = Arc::new((0..n as V).filter(|&v| csr.degree(v) > 0).collect());
-        let service = Arc::new(
-            ServiceBuilder::new()
-                .queue_capacity(clients * per_client)
-                .batch(BatchPolicy {
-                    max_batch,
-                    max_linger: Duration::from_micros(200),
-                })
-                .start(csr),
-        );
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let service = Arc::clone(&service);
-                let live = Arc::clone(&live);
-                // sage-lint: allow(thread-spawn) -- open-loop load generator simulating concurrent clients
-                std::thread::spawn(move || {
-                    // Submit the whole backlog first (an open-loop client),
-                    // so the scheduler has material to form batches from,
-                    // then redeem in order; latency = submit → completion.
-                    let pick = |k: usize| live[k % live.len()];
-                    let submitted: Vec<(Instant, Ticket)> = (0..per_client)
-                        .map(|i| {
-                            let q = Query::Bfs {
-                                src: pick(c * 131 + i * 13),
-                            };
-                            (Instant::now(), service.submit(q))
-                        })
-                        .collect();
-                    let mut latencies = Vec::with_capacity(per_client);
-                    let mut traffic = sage_nvram::MeterSnapshot::default();
-                    for (at, ticket) in submitted {
-                        let r = ticket.wait();
-                        latencies.push(at.elapsed().as_secs_f64());
-                        assert_eq!(r.traffic.graph_write, 0, "NVRAM write in a served query");
-                        traffic = traffic.plus(&r.traffic);
-                    }
-                    (latencies, traffic)
-                })
-            })
-            .collect();
-        let mut latencies = Vec::new();
-        let mut traffic = sage_nvram::MeterSnapshot::default();
-        for h in handles {
-            let (l, t) = h.join().expect("client thread");
-            latencies.extend(l);
-            traffic = traffic.plus(&t);
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let stats = crate::report::LatencyStats::from_latencies(&mut latencies, clients, elapsed);
-        crate::report::record_latency(name, elapsed, traffic, stats);
-        let svc = service.stats();
-        print_table(
-            &format!("serve-batch: {name}"),
-            &[
-                "queries",
-                "qps",
-                "p50 ms",
-                "p99 ms",
-                "engine runs",
-                "largest batch",
-            ],
-            &[(
-                name.to_string(),
-                vec![
-                    format!("{}", stats.queries),
-                    format!("{:.1}", stats.qps),
-                    format!("{:.3}", stats.p50 * 1e3),
-                    format!("{:.3}", stats.p99 * 1e3),
-                    format!("{}", svc.batches),
-                    format!("{}", svc.peak_batch),
-                ],
-            )],
-        );
-        if max_batch > 1 {
-            assert!(
-                svc.peak_batch > 1,
-                "backlogged workload formed no batches (peak {})",
-                svc.peak_batch
-            );
-        }
-        qps.push(stats.qps);
-    }
-    println!(
-        "batched/unbatched qps ratio: {:.2}x (gate: >= 2x, enforced by bench_diff)",
-        qps[1] / qps[0].max(1e-9)
-    );
-}
-
-/// Build a [`crate::report::CompressionStats`] describing `comp` relative
-/// to its source CSR.
-fn compression_stats(
-    csr: &sage_graph::Csr,
-    comp: &sage_graph::CompressedCsr,
-) -> crate::report::CompressionStats {
-    crate::report::CompressionStats {
-        encoded_bytes: comp.size_bytes(),
-        ratio: comp.size_bytes() as f64 / csr.size_bytes() as f64,
-        bytes_per_edge: comp.size_bytes() as f64 / comp.num_edges().max(1) as f64,
-        hybrid_cutoff: comp.hybrid_cutoff(),
-        hybrid_vertices: comp.hybrid_vertices(),
-    }
-}
-
-/// Decode bandwidth: full-graph adjacency decode (edges/second) through the
-/// per-byte reference decoder, the word-at-a-time kernel, and the kernel
-/// plus hybrid raw encoding, on a web-shaped input (the regime §4.2.1's
-/// compression targets). Each configuration is timed over adaptively many
-/// passes; the per-pass checksums must agree bitwise across all three.
-/// Emits schema-v3 records whose `qps` is edges decoded per second — the
-/// `bench_diff` gate asserts `word-hybrid` ≥ 2× `per-byte`.
-pub fn decode_bw() {
-    use sage_graph::compressed::HYBRID_DISABLED;
-    use sage_graph::CompressedCsr;
-    use std::time::Instant;
-
-    crate::report::set_experiment("decode-bw");
-    let scale = Suite::base_scale();
-    // Edge factor 96 ≈ ClueWeb-class density (the paper's flagship web
-    // input averages ~76 neighbors symmetrized, and rmat dedup at small
-    // scales roughly halves the requested factor): dense neighbor lists
-    // are the regime byte compression targets, and what the decode
-    // kernels are sized for.
-    let csr = sage_graph::gen::rmat(scale, 96, sage_graph::gen::RmatParams::web(), 0xC1);
-    let m = csr.num_edges();
-    let plain = CompressedCsr::from_csr_with(&csr, 64, HYBRID_DISABLED);
-    // Speed-tuned serving profile: cutoff = half the block size, so
-    // everything past mid-degree decodes raw while the long byte-coded
-    // tail still shrinks the snapshot (the default cutoff is
-    // compression-first and keeps hubs byte-coded; see
-    // `DEFAULT_HYBRID_CUTOFF`).
-    let hybrid = CompressedCsr::from_csr_with(&csr, 64, 32);
-    println!(
-        "\n== decode-bw: web-rmat-2^{scale} ({} edges), {} -> {} bytes \
-         (hybrid cutoff {}, {} hybrid vertices) ==",
-        m,
-        csr.size_bytes(),
-        hybrid.size_bytes(),
-        hybrid.hybrid_cutoff(),
-        hybrid.hybrid_vertices(),
-    );
-
-    // Hand-timed (not `crate::timed`) so one record covers many passes:
-    // each decoder doubles its pass count until a batch is long enough to
-    // time reliably, then the rounds are *interleaved* — every round times
-    // all three decoders once, so a progressive slowdown (thermal, noisy
-    // neighbor) degrades the rows together instead of whichever happens to
-    // be measured last — and the best (minimum) per-pass time survives,
-    // filtering transient bursts that would jitter the within-run speedup
-    // gate. Traffic is metered over a single pass (identical across
-    // passes).
-    type Decode = fn(&CompressedCsr) -> u64;
-    let decoders: [(&'static str, &CompressedCsr, Decode); 3] = [
-        ("per-byte", &plain, |g| g.decode_checksum_per_byte()),
-        ("word-at-a-time", &plain, |g| g.decode_checksum()),
-        ("word-hybrid", &hybrid, |g| g.decode_checksum()),
-    ];
-    let mut rows = Vec::new();
-    for (name, comp, decode) in decoders {
-        let before = sage_nvram::Meter::global().snapshot();
-        let checksum = decode(comp);
-        let traffic = sage_nvram::Meter::global().snapshot().since(&before);
-        assert_eq!(traffic.graph_write, 0, "decode wrote the graph");
-        let mut passes = 1usize;
-        loop {
-            let t0 = Instant::now();
-            for _ in 0..passes {
-                assert_eq!(decode(comp), checksum, "unstable decode");
-            }
-            if t0.elapsed().as_secs_f64() >= 0.05 {
-                break;
-            }
-            passes *= 2;
-        }
-        rows.push((name, comp, decode, checksum, traffic, passes, f64::INFINITY));
-    }
-    for _ in 0..8 {
-        for (_, comp, decode, checksum, _, passes, best) in rows.iter_mut() {
-            let t0 = Instant::now();
-            for _ in 0..*passes {
-                assert_eq!(decode(comp), *checksum, "unstable decode");
-            }
-            *best = best.min(t0.elapsed().as_secs_f64() / *passes as f64);
-        }
-    }
-    let mut results = Vec::new();
-    for (name, comp, _, checksum, traffic, _, per_pass) in rows {
-        let rate = m as f64 / per_pass.max(1e-9);
-        let stats = crate::report::LatencyStats {
-            queries: m,
-            clients: 1,
-            qps: rate,
-            p50: per_pass,
-            p99: per_pass,
-        };
-        crate::report::record_compression(
-            name,
-            per_pass,
-            traffic,
-            Some(stats),
-            compression_stats(&csr, comp),
-        );
-        results.push((checksum, rate));
-    }
-    let (sum_byte, bw_byte) = results[0];
-    let (sum_word, bw_word) = results[1];
-    let (sum_hyb, bw_hyb) = results[2];
-    assert_eq!(sum_byte, sum_word, "word decode disagrees with per-byte");
-    assert_eq!(sum_byte, sum_hyb, "hybrid decode changes the edge set");
-
-    print_table(
-        "decode-bw: full-graph decode bandwidth",
-        &["edges/s", "speedup vs per-byte"],
-        &[
-            (
-                "per-byte".into(),
-                vec![format!("{bw_byte:.3e}"), "1.00x".into()],
-            ),
-            (
-                "word-at-a-time".into(),
-                vec![
-                    format!("{bw_word:.3e}"),
-                    format!("{:.2}x", bw_word / bw_byte),
-                ],
-            ),
-            (
-                "word-hybrid".into(),
-                vec![format!("{bw_hyb:.3e}"), format!("{:.2}x", bw_hyb / bw_byte)],
-            ),
-        ],
-    );
-    println!(
-        "word-hybrid/per-byte: {:.2}x (gate: >= 2x, enforced by bench_diff)",
-        bw_hyb / bw_byte
-    );
-}
-
-/// Serving over a compressed snapshot: the `serve-batch` batched BFS
-/// workload is replayed against a plain-CSR service and a
-/// [`sage_graph::CompressedCsr`] service over the *same* web-shaped
-/// snapshot. Responses must match bitwise and every served query must keep
-/// `graph_write == 0`; the `bench_diff` gate asserts compressed qps ≥ 0.5×
-/// the CSR qps (decode overhead bounded, in exchange for the size ratio
-/// reported in the schema-v3 compression fields).
-pub fn serve_compressed() {
-    use sage_serve::{BatchPolicy, Query, Response, ServiceBuilder, Ticket};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    crate::report::set_experiment("serve-compressed");
-    let scale = Suite::base_scale();
-    let clients = 4usize;
-    let per_client = 64usize;
-    let batch_size = 32usize;
-    // Same ClueWeb-class density as `decode-bw`, but a cutoff that leans
-    // toward compression (cutoff = block size): serving is where the
-    // smaller snapshot pays off, and the qps gate against plain CSR has
-    // ample headroom even with hubs byte-coded.
-    let csr = sage_graph::gen::rmat(scale, 96, sage_graph::gen::RmatParams::web(), 0xC1);
-    let comp = sage_graph::CompressedCsr::from_csr_with(&csr, 64, 64);
-    let cstats = compression_stats(&csr, &comp);
-    let n = csr.num_vertices();
-    let live: Arc<Vec<V>> = Arc::new((0..n as V).filter(|&v| csr.degree(v) > 0).collect());
-    println!(
-        "\n== serve-compressed: web-rmat-2^{scale} ({n} vertices, ratio {:.2}), \
-         {clients} clients x {per_client} batched BFS point queries ==",
-        cstats.ratio
-    );
-
-    // One driver for both representations: GraphService is generic over
-    // `Graph`, so the compressed snapshot drops in unchanged.
-    fn drive<G: Graph + Send + Sync + 'static>(
-        g: G,
-        live: &Arc<Vec<V>>,
-        clients: usize,
-        per_client: usize,
-        batch_size: usize,
-    ) -> (
-        crate::report::LatencyStats,
-        sage_nvram::MeterSnapshot,
-        Vec<Response>,
-    ) {
-        let service = Arc::new(
-            ServiceBuilder::new()
-                .queue_capacity(clients * per_client)
-                .batch(BatchPolicy {
-                    max_batch: batch_size,
-                    max_linger: Duration::from_micros(200),
-                })
-                .start(g),
-        );
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let service = Arc::clone(&service);
-                let live = Arc::clone(live);
-                // sage-lint: allow(thread-spawn) -- open-loop load generator simulating concurrent clients
-                std::thread::spawn(move || {
-                    let pick = |k: usize| live[k % live.len()];
-                    let submitted: Vec<(Instant, Ticket)> = (0..per_client)
-                        .map(|i| {
-                            let q = Query::Bfs {
-                                src: pick(c * 131 + i * 13),
-                            };
-                            (Instant::now(), service.submit(q))
-                        })
-                        .collect();
-                    let mut latencies = Vec::with_capacity(per_client);
-                    let mut traffic = sage_nvram::MeterSnapshot::default();
-                    let mut responses = Vec::with_capacity(per_client);
-                    for (at, ticket) in submitted {
-                        let r = ticket.wait();
-                        latencies.push(at.elapsed().as_secs_f64());
-                        assert_eq!(r.traffic.graph_write, 0, "NVRAM write in a served query");
-                        traffic = traffic.plus(&r.traffic);
-                        responses.push(r.response);
-                    }
-                    (c, latencies, traffic, responses)
-                })
-            })
-            .collect();
-        let mut latencies = Vec::new();
-        let mut traffic = sage_nvram::MeterSnapshot::default();
-        let mut responses: Vec<(usize, Vec<Response>)> = Vec::new();
-        for h in handles {
-            let (c, l, t, r) = h.join().expect("client thread");
-            latencies.extend(l);
-            traffic = traffic.plus(&t);
-            responses.push((c, r));
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let svc = service.stats();
-        assert!(
-            svc.peak_batch > 1,
-            "backlogged workload formed no batches (peak {})",
-            svc.peak_batch
-        );
-        // Stable client order so the two representations' response vectors
-        // line up for the bitwise comparison.
-        responses.sort_by_key(|&(c, _)| c);
-        let flat = responses.into_iter().flat_map(|(_, r)| r).collect();
-        (
-            crate::report::LatencyStats::from_latencies(&mut latencies, clients, elapsed),
-            traffic,
-            flat,
-        )
-    }
-
-    // Best-of-rounds, like `decode-bw`: on a shared core a background burst
-    // in a single round must not decide the within-run qps-ratio gate. The
-    // graph is rebuilt per round (deterministic seed), and every round must
-    // answer identically.
-    fn drive_best<G: Graph + Send + Sync + 'static>(
-        mk: impl Fn() -> G,
-        live: &Arc<Vec<V>>,
-        clients: usize,
-        per_client: usize,
-        batch_size: usize,
-    ) -> (
-        crate::report::LatencyStats,
-        sage_nvram::MeterSnapshot,
-        Vec<Response>,
-    ) {
-        let mut best: Option<(
-            crate::report::LatencyStats,
-            sage_nvram::MeterSnapshot,
-            Vec<Response>,
-        )> = None;
-        for _ in 0..3 {
-            let round = drive(mk(), live, clients, per_client, batch_size);
-            best = match best {
-                Some(b) => {
-                    assert_eq!(b.2, round.2, "round-to-round answers diverged");
-                    Some(if round.0.qps > b.0.qps { round } else { b })
-                }
-                None => Some(round),
-            };
-        }
-        best.expect("at least one round")
-    }
-
-    let (csr_stats, csr_traffic, csr_responses) = drive_best(
-        || sage_graph::gen::rmat(scale, 96, sage_graph::gen::RmatParams::web(), 0xC1),
-        &live,
-        clients,
-        per_client,
-        batch_size,
-    );
-    crate::report::record_latency(
-        "csr-batched",
-        csr_stats.queries as f64 / csr_stats.qps.max(1e-9),
-        csr_traffic,
-        csr_stats,
-    );
-    let (comp_stats, comp_traffic, comp_responses) = drive_best(
-        || sage_graph::CompressedCsr::from_csr_with(&csr, 64, 64),
-        &live,
-        clients,
-        per_client,
-        batch_size,
-    );
-    crate::report::record_compression(
-        "compressed-batched",
-        comp_stats.queries as f64 / comp_stats.qps.max(1e-9),
-        comp_traffic,
-        Some(comp_stats),
-        cstats,
-    );
-    assert_eq!(
-        csr_responses, comp_responses,
-        "compressed serving changed an answer"
-    );
-
-    print_table(
-        "serve-compressed: batched BFS qps",
-        &["qps", "p50 ms", "p99 ms", "graph-read words"],
-        &[
-            (
-                "csr-batched".into(),
-                vec![
-                    format!("{:.1}", csr_stats.qps),
-                    format!("{:.3}", csr_stats.p50 * 1e3),
-                    format!("{:.3}", csr_stats.p99 * 1e3),
-                    format!("{}", csr_traffic.graph_read),
-                ],
-            ),
-            (
-                "compressed-batched".into(),
-                vec![
-                    format!("{:.1}", comp_stats.qps),
-                    format!("{:.3}", comp_stats.p50 * 1e3),
-                    format!("{:.3}", comp_stats.p99 * 1e3),
-                    format!("{}", comp_traffic.graph_read),
-                ],
-            ),
-        ],
-    );
-    println!(
-        "compressed/csr qps ratio: {:.2}x (gate: >= 0.5x, enforced by bench_diff); \
-         size ratio {:.2} ({:.2} bytes/edge)",
-        comp_stats.qps / csr_stats.qps.max(1e-9),
-        cstats.ratio,
-        cstats.bytes_per_edge,
-    );
-}
-
-/// Serving over a partitioned snapshot: the batched-BFS workload of
-/// `serve-compressed` is replayed against the monolithic
-/// [`sage_serve::GraphService`] and a [`sage_serve::ShardedService`] at
-/// shard counts 1, 2, and 4 over the *same* web-shaped snapshot. Every
-/// configuration must answer bitwise-identically; each round of each
-/// sharded drive additionally reconciles attribution word-exactly against
-/// the global meter: the sum over queries of attributed traffic (residual +
-/// per-shard) equals the global meter delta across the drive. The
-/// `bench_diff` gate asserts sharded-4 qps ≥ 0.8× monolithic qps.
-pub fn serve_sharded() {
-    use sage_graph::{Sharded, ShardedCsr};
-    use sage_nvram::{Meter, MeterSnapshot};
-    use sage_serve::{
-        BatchPolicy, GraphService, Query, Response, ServiceBuilder, ServiceConfig, ShardedService,
-        Ticket,
-    };
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    crate::report::set_experiment("serve-sharded");
-    let scale = Suite::base_scale();
-    let clients = 4usize;
-    let per_client = 64usize;
-    let batch_size = 32usize;
-    let csr = sage_graph::gen::rmat(scale, 96, sage_graph::gen::RmatParams::web(), 0xC1);
-    let n = csr.num_vertices();
-    let live: Arc<Vec<V>> = Arc::new((0..n as V).filter(|&v| csr.degree(v) > 0).collect());
-    println!(
-        "\n== serve-sharded: web-rmat-2^{scale} ({n} vertices), \
-         {clients} clients x {per_client} batched BFS point queries ==",
-    );
-
-    /// The two service types behind one driver.
-    trait Svc: Send + Sync + 'static {
-        fn submit(&self, q: Query) -> Ticket;
-        fn peak_batch(&self) -> u64;
-        /// Shard count, 0 for the monolithic service (no per-shard stats).
-        fn shards(&self) -> usize;
-    }
-    impl<G: Graph + Send + Sync + 'static> Svc for GraphService<G> {
-        fn submit(&self, q: Query) -> Ticket {
-            GraphService::submit(self, q)
-        }
-        fn peak_batch(&self) -> u64 {
-            self.stats().peak_batch
-        }
-        fn shards(&self) -> usize {
-            0
-        }
-    }
-    impl Svc for ShardedService {
-        fn submit(&self, q: Query) -> Ticket {
-            ShardedService::submit(self, q)
-        }
-        fn peak_batch(&self) -> u64 {
-            self.stats().peak_batch
-        }
-        fn shards(&self) -> usize {
-            self.snapshot().num_shards()
-        }
-    }
-
-    struct DriveOut {
-        stats: crate::report::LatencyStats,
-        traffic: MeterSnapshot,
-        per_shard: Vec<MeterSnapshot>,
-        responses: Vec<Response>,
-    }
-
-    fn drive<S: Svc>(
-        service: S,
-        live: &Arc<Vec<V>>,
-        clients: usize,
-        per_client: usize,
-    ) -> DriveOut {
-        let shards = service.shards();
-        let service = Arc::new(service);
-        // Workers are idle here and only they meter during the drive, so the
-        // global delta across it is exactly the served queries' traffic.
-        let before = Meter::global().snapshot();
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let service = Arc::clone(&service);
-                let live = Arc::clone(live);
-                // sage-lint: allow(thread-spawn) -- open-loop load generator simulating concurrent clients
-                std::thread::spawn(move || {
-                    let pick = |k: usize| live[k % live.len()];
-                    let submitted: Vec<(Instant, Ticket)> = (0..per_client)
-                        .map(|i| {
-                            let q = Query::Bfs {
-                                src: pick(c * 131 + i * 13),
-                            };
-                            (Instant::now(), service.submit(q))
-                        })
-                        .collect();
-                    let mut latencies = Vec::with_capacity(per_client);
-                    let mut traffic = MeterSnapshot::default();
-                    let mut per_shard = Vec::new();
-                    let mut responses = Vec::with_capacity(per_client);
-                    for (at, ticket) in submitted {
-                        let r = ticket.wait();
-                        latencies.push(at.elapsed().as_secs_f64());
-                        assert_eq!(r.traffic.graph_write, 0, "NVRAM write in a served query");
-                        traffic = traffic.plus(&r.traffic);
-                        if per_shard.len() < r.per_shard.len() {
-                            per_shard.resize(r.per_shard.len(), MeterSnapshot::default());
-                        }
-                        for (acc, s) in per_shard.iter_mut().zip(&r.per_shard) {
-                            *acc = acc.plus(s);
-                        }
-                        responses.push(r.response);
-                    }
-                    (c, latencies, traffic, per_shard, responses)
-                })
-            })
-            .collect();
-        let mut latencies = Vec::new();
-        let mut traffic = MeterSnapshot::default();
-        let mut per_shard = vec![MeterSnapshot::default(); shards];
-        let mut responses: Vec<(usize, Vec<Response>)> = Vec::new();
-        for h in handles {
-            let (c, l, t, ps, r) = h.join().expect("client thread");
-            latencies.extend(l);
-            traffic = traffic.plus(&t);
-            for (acc, s) in per_shard.iter_mut().zip(&ps) {
-                *acc = acc.plus(s);
-            }
-            responses.push((c, r));
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let delta = Meter::global().snapshot().since(&before);
-        assert!(
-            service.peak_batch() > 1,
-            "backlogged workload formed no batches (peak {})",
-            service.peak_batch()
-        );
-        if shards > 0 {
-            // The sharding attribution invariant, checked against ground
-            // truth: residual + per-shard scopes account for every word the
-            // global meter saw during the drive.
-            assert_eq!(
-                traffic, delta,
-                "attributed traffic diverged from the global meter delta"
-            );
-            let shard_sum = per_shard
-                .iter()
-                .fold(MeterSnapshot::default(), |acc, s| acc.plus(s));
-            assert!(
-                shard_sum.graph_read <= delta.graph_read
-                    && shard_sum.aux_read <= delta.aux_read
-                    && shard_sum.aux_write <= delta.aux_write,
-                "per-shard attribution exceeds the global delta"
-            );
-        }
-        // Stable client order so configurations' response vectors line up
-        // for the bitwise comparison.
-        responses.sort_by_key(|&(c, _)| c);
-        DriveOut {
-            stats: crate::report::LatencyStats::from_latencies(&mut latencies, clients, elapsed),
-            traffic,
-            per_shard,
-            responses: responses.into_iter().flat_map(|(_, r)| r).collect(),
-        }
-    }
-
-    // Best-of-rounds, like `serve-compressed`: a background burst in one
-    // round must not decide the within-run qps-ratio gate; every round must
-    // answer identically.
-    fn drive_best<S: Svc>(
-        mk: impl Fn() -> S,
-        live: &Arc<Vec<V>>,
-        clients: usize,
-        per_client: usize,
-    ) -> DriveOut {
-        let mut best: Option<DriveOut> = None;
-        for _ in 0..3 {
-            let round = drive(mk(), live, clients, per_client);
-            best = match best {
-                Some(b) => {
-                    assert_eq!(
-                        b.responses, round.responses,
-                        "round-to-round answers diverged"
-                    );
-                    Some(if round.stats.qps > b.stats.qps {
-                        round
-                    } else {
-                        b
-                    })
-                }
-                None => Some(round),
-            };
-        }
-        best.expect("at least one round")
-    }
-
-    let config = |queue: usize| ServiceConfig {
-        queue_capacity: queue,
-        batch: BatchPolicy {
-            max_batch: batch_size,
-            max_linger: Duration::from_micros(200),
-        },
-        ..Default::default()
-    };
-    let mk_csr = || sage_graph::gen::rmat(scale, 96, sage_graph::gen::RmatParams::web(), 0xC1);
-
-    let mono = drive_best(
-        || ServiceBuilder::from_config(config(clients * per_client)).start(mk_csr()),
-        &live,
-        clients,
-        per_client,
-    );
-    crate::report::record_latency(
-        "monolithic",
-        mono.stats.queries as f64 / mono.stats.qps.max(1e-9),
-        mono.traffic,
-        mono.stats,
-    );
-
-    let mut rows = vec![(
-        "monolithic".to_string(),
-        vec![
-            format!("{:.1}", mono.stats.qps),
-            format!("{:.3}", mono.stats.p50 * 1e3),
-            format!("{:.3}", mono.stats.p99 * 1e3),
-            format!("{}", mono.traffic.graph_read),
-            "-".to_string(),
-        ],
-    )];
-    let mut sharded4_qps = 0.0f64;
-    for k in [1usize, 2, 4] {
-        let out = drive_best(
-            || {
-                ServiceBuilder::from_config(config(clients * per_client))
-                    .start_sharded(ShardedCsr::from_csr(&csr, k))
-            },
-            &live,
-            clients,
-            per_client,
-        );
-        assert_eq!(
-            mono.responses, out.responses,
-            "sharded serving (k={k}) changed an answer"
-        );
-        let name: &'static str = match k {
-            1 => "sharded-1",
-            2 => "sharded-2",
-            _ => "sharded-4",
-        };
-        if k == 4 {
-            sharded4_qps = out.stats.qps;
-        }
-        let shard_sum = out
-            .per_shard
-            .iter()
-            .fold(MeterSnapshot::default(), |acc, s| acc.plus(s));
-        rows.push((
-            name.to_string(),
-            vec![
-                format!("{:.1}", out.stats.qps),
-                format!("{:.3}", out.stats.p50 * 1e3),
-                format!("{:.3}", out.stats.p99 * 1e3),
-                format!("{}", out.traffic.graph_read),
-                format!(
-                    "{:.0}%",
-                    100.0 * shard_sum.graph_read as f64 / out.traffic.graph_read.max(1) as f64
-                ),
-            ],
-        ));
-        crate::report::record_sharded(
-            name,
-            out.stats.queries as f64 / out.stats.qps.max(1e-9),
-            out.traffic,
-            out.stats,
-            crate::report::ShardStats {
-                shards: k,
-                per_shard: out.per_shard,
-            },
-        );
-    }
-
-    print_table(
-        "serve-sharded: batched BFS qps",
-        &[
-            "qps",
-            "p50 ms",
-            "p99 ms",
-            "graph-read words",
-            "shard-attributed",
-        ],
-        &rows,
-    );
-    println!(
-        "sharded-4/monolithic qps ratio: {:.2}x (gate: >= 0.8x, enforced by bench_diff)",
-        sharded4_qps / mono.stats.qps.max(1e-9),
-    );
-}
-
-/// SLO-aware scheduling: three comparisons inside one report, each gated by
-/// `bench_diff` as a *within-run* ratio so machine speed cancels out.
-///
-/// 1. **Deadline classes** — the same interleaved analytics + point-lookup
-///    backlog is replayed through a strict-FIFO service and through the
-///    priority scheduler (batching disabled on both, so only dispatch order
-///    differs). Responses must be bitwise-identical between the two runs;
-///    the gate requires the scheduler's point-lookup p99 ≤ 0.5× FIFO's.
-/// 2. **Same-parameter batching** — an identical-`(iters, damping)`
-///    PageRank backlog runs unbatched (`max_batch` 1) and batched; the
-///    shared run's metered traffic is split word-exactly across members and
-///    must reconcile with the global meter; gate: batched qps ≥ 2×.
-/// 3. **Result cache** — the same query replayed against a cache-disabled
-///    and a cache-enabled service; hits must be bitwise-identical with zero
-///    graph traffic; gate: hot qps ≥ 5× cold.
-pub fn serve_sched() {
-    use sage_serve::{BatchPolicy, Query, QueryResult, ServiceBuilder, ServiceConfig, Ticket};
-    use std::time::{Duration, Instant};
-
-    crate::report::set_experiment("serve-sched");
-    let scale = Suite::base_scale();
-    let csr = sage_graph::gen::rmat(scale, 16, sage_graph::gen::RmatParams::default(), 0x5E);
-    let n = csr.num_vertices();
-    let live: Vec<V> = (0..n as V).filter(|&v| csr.degree(v) > 0).collect();
-    let pick = |k: usize| live[k % live.len()];
-
-    // --- 1. deadline classes: FIFO vs priority scheduler -----------------
-    // Analytics-heavy interleave: 3 analytics : 1 probe : 1 point lookup.
-    // Every analytics query gets distinct parameters so no two share a
-    // batch class — with `max_batch` 1 on both services, the *only*
-    // difference between the runs is dispatch order.
-    let queries: Vec<Query> = (0..200)
-        .map(|i| match i % 5 {
-            4 => Query::Bfs { src: pick(i * 13) },
-            3 => Query::Connected {
-                u: pick(i),
-                v: pick(i * 31),
-            },
-            _ => Query::PageRank {
-                iters: 5 + i % 97,
-                damping: sage_serve::DEFAULT_DAMPING,
-                vertices: vec![pick(i * 7)],
-            },
-        })
-        .collect();
-    println!(
-        "\n== serve-sched: rmat-2^{scale} ({n} vertices), {} interleaved queries, \
-         FIFO vs deadline classes ==",
-        queries.len()
-    );
-
-    // Submit the whole backlog open-loop, then poll tickets to completion so
-    // a latency is stamped the moment its query finishes — waiting in
-    // submission order would charge early finishers for late ones.
-    let replay = |cfg: ServiceConfig| -> (Vec<(f64, QueryResult)>, sage_serve::ServiceStats) {
-        let service = ServiceBuilder::from_config(cfg).start(sage_graph::gen::rmat(
-            scale,
-            16,
-            sage_graph::gen::RmatParams::default(),
-            0x5E,
-        ));
-        let mut slots: Vec<Option<(Instant, Ticket)>> = queries
-            .iter()
-            .map(|q| Some((Instant::now(), service.submit(q.clone()))))
-            .collect();
-        let mut out: Vec<Option<(f64, QueryResult)>> = (0..slots.len()).map(|_| None).collect();
-        let mut remaining = slots.len();
-        while remaining > 0 {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                if let Some((at, ticket)) = slot.take() {
-                    match ticket.try_take() {
-                        Ok(r) => {
-                            out[i] = Some((at.elapsed().as_secs_f64(), r));
-                            remaining -= 1;
-                        }
-                        Err(ticket) => *slot = Some((at, ticket)),
-                    }
-                }
-            }
-            std::thread::yield_now();
-        }
-        let stats = service.stats();
-        (
-            out.into_iter().map(|o| o.expect("polled out")).collect(),
-            stats,
-        )
-    };
-
-    let single = BatchPolicy {
-        max_batch: 1,
-        max_linger: Duration::ZERO,
-    };
-    let mut point_qps = Vec::new();
-    let mut results = Vec::new();
-    for (prefix, cfg) in [
-        (
-            "fifo",
-            ServiceConfig {
-                workers: 1,
-                queue_capacity: queries.len(),
-                batch: single.clone(),
-                ..ServiceConfig::fifo_baseline()
-            },
-        ),
-        (
-            "sched",
-            ServiceConfig {
-                workers: 1,
-                queue_capacity: queries.len(),
-                batch: single.clone(),
-                ..Default::default()
-            },
-        ),
-    ] {
-        let t0 = Instant::now();
-        let (run, svc) = replay(cfg);
-        let elapsed = t0.elapsed().as_secs_f64();
-        let sched_stats = crate::report::SchedStats {
-            cache_hits: svc.cache_hits,
-            cache_misses: svc.cache_misses,
-            aged_promotions: svc.aged_promotions,
-            preemptions: svc.preemptions,
-            completed_point_lookups: svc.completed_point_lookups,
-            completed_probes: svc.completed_probes,
-            completed_analytics: svc.completed_analytics,
-        };
-        // Per-class latency records: the gate compares point-lookup p99s.
-        for (name, class) in [
-            (
-                if prefix == "fifo" {
-                    "fifo-point"
-                } else {
-                    "sched-point"
-                },
-                sage_serve::Priority::PointLookup,
-            ),
-            (
-                if prefix == "fifo" {
-                    "fifo-analytics"
-                } else {
-                    "sched-analytics"
-                },
-                sage_serve::Priority::Analytics,
-            ),
-        ] {
-            let mut lat: Vec<f64> = Vec::new();
-            let mut traffic = sage_nvram::MeterSnapshot::default();
-            for ((l, r), q) in run.iter().zip(&queries) {
-                if q.priority() == class {
-                    lat.push(*l);
-                    traffic = traffic.plus(&r.traffic);
-                }
-            }
-            let stats = crate::report::LatencyStats::from_latencies(&mut lat, 1, elapsed);
-            crate::report::record_sched(name, elapsed, traffic, stats, sched_stats);
-            println!(
-                "  {name}: p50 {:.3} ms  p99 {:.3} ms  ({} queries; \
-                 {} preemptions, {} aged promotions)",
-                stats.p50 * 1e3,
-                stats.p99 * 1e3,
-                stats.queries,
-                sched_stats.preemptions,
-                sched_stats.aged_promotions,
-            );
-            if class == sage_serve::Priority::PointLookup {
-                point_qps.push(stats.p99);
-            }
-        }
-        results.push(run);
-    }
-    // Scheduling must never change an answer, only when it is computed.
-    for (i, (a, b)) in results[0].iter().zip(&results[1]).enumerate() {
-        assert_eq!(
-            a.1.response, b.1.response,
-            "query {i}: FIFO and scheduled responses must be bitwise-identical"
-        );
-    }
-    println!(
-        "sched/fifo point p99 ratio: {:.2}x (gate: <= 0.5x, enforced by bench_diff)",
-        point_qps[1] / point_qps[0].max(1e-9)
-    );
-
-    // --- 2. same-parameter PageRank batching -----------------------------
-    let pr_backlog: Vec<Query> = (0..64)
-        .map(|i| Query::PageRank {
-            iters: 10,
-            damping: sage_serve::DEFAULT_DAMPING,
-            vertices: vec![pick(i * 11)],
-        })
-        .collect();
-    let mut pr_qps = Vec::new();
-    let mut pr_runs = Vec::new();
-    for (name, max_batch) in [("pagerank-unbatched", 1usize), ("pagerank-batched", 64)] {
-        let service = ServiceBuilder::new()
-            .workers(2)
-            .queue_capacity(pr_backlog.len())
-            .batch(BatchPolicy {
-                max_batch,
-                max_linger: Duration::from_micros(500),
-            })
-            .start(sage_graph::gen::rmat(
-                scale,
-                16,
-                sage_graph::gen::RmatParams::default(),
-                0x5E,
-            ));
-        let before = sage_nvram::Meter::global().snapshot();
-        let t0 = Instant::now();
-        let tickets: Vec<(Instant, Ticket)> = pr_backlog
-            .iter()
-            .map(|q| (Instant::now(), service.submit(q.clone())))
-            .collect();
-        let mut latencies = Vec::new();
-        let mut traffic = sage_nvram::MeterSnapshot::default();
-        let mut responses = Vec::new();
-        for (at, t) in tickets {
-            let r = t.wait();
-            latencies.push(at.elapsed().as_secs_f64());
-            assert_eq!(r.traffic.graph_write, 0, "NVRAM write in a served query");
-            traffic = traffic.plus(&r.traffic);
-            responses.push(r.response);
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let delta = sage_nvram::Meter::global().snapshot().since(&before);
-        assert!(
-            traffic.graph_read <= delta.graph_read,
-            "word-exact member splits must reconcile with the global meter"
-        );
-        let svc = service.stats();
-        let stats = crate::report::LatencyStats::from_latencies(&mut latencies, 1, elapsed);
-        crate::report::record_sched(
-            name,
-            elapsed,
-            traffic,
-            stats,
-            crate::report::SchedStats {
-                cache_hits: svc.cache_hits,
-                cache_misses: svc.cache_misses,
-                aged_promotions: svc.aged_promotions,
-                preemptions: svc.preemptions,
-                completed_point_lookups: svc.completed_point_lookups,
-                completed_probes: svc.completed_probes,
-                completed_analytics: svc.completed_analytics,
-            },
-        );
-        println!(
-            "  {name}: {:.1} qps (engine runs {}, largest batch {})",
-            stats.qps, svc.batches, svc.peak_batch
-        );
-        if max_batch > 1 {
-            assert!(
-                svc.peak_batch > 1,
-                "same-parameter backlog formed no batches (peak {})",
-                svc.peak_batch
-            );
-        }
-        pr_qps.push(stats.qps);
-        pr_runs.push(responses);
-    }
-    for (i, (a, b)) in pr_runs[0].iter().zip(&pr_runs[1]).enumerate() {
-        assert_eq!(
-            a, b,
-            "query {i}: batched PageRank must be bitwise-identical to unbatched"
-        );
-    }
-    println!(
-        "batched/unbatched same-parameter PageRank qps ratio: {:.2}x \
-         (gate: >= 2x, enforced by bench_diff)",
-        pr_qps[1] / pr_qps[0].max(1e-9)
-    );
-
-    // --- 3. epoch-keyed result cache -------------------------------------
-    let hot = Query::PageRank {
-        iters: 10,
-        damping: sage_serve::DEFAULT_DAMPING,
-        vertices: vec![pick(3), pick(17)],
-    };
-    let repeats = 64usize;
-    let mut cache_qps = Vec::new();
-    let mut cache_responses = Vec::new();
-    for (name, cache_bytes) in [("cache-cold", 0u64), ("cache-hot", 4 << 20)] {
-        let service = ServiceBuilder::new()
-            .workers(2)
-            .queue_capacity(16)
-            .cache_bytes(cache_bytes)
-            .start(sage_graph::gen::rmat(
-                scale,
-                16,
-                sage_graph::gen::RmatParams::default(),
-                0x5E,
-            ));
-        let warm = service.query(hot.clone());
-        let t0 = Instant::now();
-        let mut latencies = Vec::with_capacity(repeats);
-        let mut last = warm.response.clone();
-        for _ in 0..repeats {
-            let q0 = Instant::now();
-            let r = service.query(hot.clone());
-            latencies.push(q0.elapsed().as_secs_f64());
-            assert_eq!(r.traffic.graph_write, 0);
-            if cache_bytes > 0 {
-                assert_eq!(
-                    r.traffic.graph_read, 0,
-                    "a cache hit must not read the graph"
-                );
-            }
-            last = r.response;
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let svc = service.stats();
-        if cache_bytes > 0 {
-            assert_eq!(
-                svc.cache_hits, repeats as u64,
-                "every repeat after the warm-up must hit"
-            );
-        }
-        let stats = crate::report::LatencyStats::from_latencies(&mut latencies, 1, elapsed);
-        crate::report::record_sched(
-            name,
-            elapsed,
-            sage_nvram::MeterSnapshot::default(),
-            stats,
-            crate::report::SchedStats {
-                cache_hits: svc.cache_hits,
-                cache_misses: svc.cache_misses,
-                aged_promotions: svc.aged_promotions,
-                preemptions: svc.preemptions,
-                completed_point_lookups: svc.completed_point_lookups,
-                completed_probes: svc.completed_probes,
-                completed_analytics: svc.completed_analytics,
-            },
-        );
-        println!(
-            "  {name}: {:.1} qps (cache hits {}, misses {})",
-            stats.qps, svc.cache_hits, svc.cache_misses
-        );
-        cache_qps.push(stats.qps);
-        cache_responses.push(last);
-    }
-    assert_eq!(
-        cache_responses[0], cache_responses[1],
-        "cached responses must be bitwise-identical to fresh runs"
-    );
-    println!(
-        "hot/cold cache qps ratio: {:.2}x (gate: >= 5x, enforced by bench_diff)",
-        cache_qps[1] / cache_qps[0].max(1e-9)
-    );
-}
-
-/// Live-update serving: a BFS point-lookup stream measured in steady state
-/// (`steady`) and again while edge-update batches are compacted, flushed
-/// under the NVRAM write budget, and epoch-swapped underneath the readers
-/// (`during-publish`). Emits schema-v2 latency records plus the schema-v6
-/// publish fields; the CI regression gate (`bench_diff`) asserts
-/// during-publish qps ≥ 0.7× steady qps and total publish words within
-/// budget × publishes. Readers are asserted write-free throughout — the
-/// publish pipeline is the only party allowed to touch NVRAM.
-pub fn serve_update() {
-    use sage_core::EdgeUpdate;
-    use sage_serve::{Publishable, Query, ServiceBuilder};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    crate::report::set_experiment("serve-update");
-    let scale = Suite::base_scale();
-    let csr = sage_graph::gen::rmat(scale, 16, sage_graph::gen::RmatParams::default(), 0x0DD);
-    let n = csr.num_vertices();
-    let clients = 2usize;
-    let per_client = 64usize.max(512 / clients.max(1));
-    let publishes = 3u64;
-    // Per-publish budget: the compacted snapshot plus headroom for the
-    // inserted edges. Generous but finite, so the gate is meaningful.
-    let budget = csr.flush_words() * 2;
-    println!(
-        "\n== serve-update: rmat-2^{scale} ({n} vertices), {clients} clients x {per_client} \
-         point lookups, {publishes} publishes (budget {budget} words each) =="
-    );
-    let dir = std::env::temp_dir().join(format!("sage-serve-update-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create publish dir");
-
-    let live: Arc<Vec<V>> = Arc::new((0..n as V).filter(|&v| csr.degree(v) > 0).collect());
-    let service = Arc::new(
-        ServiceBuilder::new()
-            .publish_budget_words(budget)
-            .start(csr),
-    );
-
-    // One closed-loop point-lookup pass; returns client-observed latencies.
-    let run_clients = |max_epoch: u64| -> Vec<f64> {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let service = Arc::clone(&service);
-                let live = Arc::clone(&live);
-                // sage-lint: allow(thread-spawn) -- open-loop load generator simulating concurrent clients
-                std::thread::spawn(move || {
-                    let mut latencies = Vec::with_capacity(per_client);
-                    for i in 0..per_client {
-                        let q0 = Instant::now();
-                        let r = service.query(Query::Bfs {
-                            src: live[(c * 131 + i * 17) % live.len()],
-                        });
-                        latencies.push(q0.elapsed().as_secs_f64());
-                        assert_eq!(r.traffic.graph_write, 0, "reader wrote NVRAM");
-                        assert!(r.epoch <= max_epoch, "answer from an unpublished epoch");
-                    }
-                    latencies
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread"))
-            .collect()
-    };
-
-    // Phase 1: steady state — no publishes in flight.
-    let t0 = Instant::now();
-    let mut latencies = run_clients(0);
-    let elapsed = t0.elapsed().as_secs_f64();
-    let steady = crate::report::LatencyStats::from_latencies(&mut latencies, clients, elapsed);
-    crate::report::record_latency(
-        "steady",
-        elapsed,
-        sage_nvram::MeterSnapshot::default(),
-        steady,
-    );
-
-    // Phase 2: the same stream while edge-update batches land concurrently.
-    let publisher = {
-        let service = Arc::clone(&service);
-        let live = Arc::clone(&live);
-        let dir = dir.clone();
-        // sage-lint: allow(thread-spawn) -- ingestion pipeline running beside the readers
-        std::thread::spawn(move || {
-            let mut words = 0u64;
-            for p in 0..publishes {
-                let pick = |k: u64| live[(p * 977 + k) as usize % live.len()];
-                let updates = [
-                    EdgeUpdate::insert(pick(1), pick(3)),
-                    EdgeUpdate::insert(pick(5), pick(8)),
-                    EdgeUpdate::delete(pick(1), pick(3)),
-                ];
-                let report = service
-                    .publish_updates(&updates, &dir.join(format!("epoch-{}.sage", p + 1)))
-                    .expect("publish within budget");
-                assert_eq!(report.epoch, p + 1, "epochs advance one per publish");
-                assert_eq!(report.traffic.graph_write, report.graph_write);
-                words += report.graph_write;
-            }
-            words
-        })
-    };
-    let t0 = Instant::now();
-    let mut latencies = run_clients(publishes);
-    let elapsed = t0.elapsed().as_secs_f64();
-    let words = publisher.join().expect("publisher thread");
-    let during = crate::report::LatencyStats::from_latencies(&mut latencies, clients, elapsed);
-    let stats = service.stats();
-    assert_eq!(
-        (stats.publishes, stats.epoch),
-        (publishes, publishes),
-        "every publish must have landed"
-    );
-    crate::report::record_publish(
-        "during-publish",
-        elapsed,
-        sage_nvram::MeterSnapshot::default(),
-        during,
-        crate::report::PublishStats {
-            publish_words: words,
-            publish_budget_words: budget,
-            publishes,
-            epoch: stats.epoch,
-        },
-    );
-
-    print_table(
-        "serve-update throughput",
-        &["queries", "qps", "p50 ms", "p99 ms", "publish words"],
-        &[
-            (
-                "steady".to_string(),
-                vec![
-                    format!("{}", steady.queries),
-                    format!("{:.1}", steady.qps),
-                    format!("{:.3}", steady.p50 * 1e3),
-                    format!("{:.3}", steady.p99 * 1e3),
-                    "0".to_string(),
-                ],
-            ),
-            (
-                "during-publish".to_string(),
-                vec![
-                    format!("{}", during.queries),
-                    format!("{:.1}", during.qps),
-                    format!("{:.3}", during.p50 * 1e3),
-                    format!("{:.3}", during.p99 * 1e3),
-                    format!("{words}"),
-                ],
-            ),
-        ],
-    );
-    println!(
-        "during-publish/steady qps ratio: {:.2}x (gate: >= 0.7x, enforced by bench_diff); \
-         {words} publish words over {publishes} publishes (budget {budget} each)",
-        during.qps / steady.qps.max(1e-9)
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Run everything (the `all` subcommand).

@@ -2,34 +2,18 @@
 //!
 //! ```text
 //! sage-bench <experiment>... [SAGE_SCALE=17] [SAGE_THREADS=N]
-//!   fig1 fig2 fig6 fig7 table1 table2 table3 table4 table5 numa
-//!   serve serve-batch decode-bw serve-compressed serve-sharded
-//!   serve-sched serve-update all
+//!   fig1 fig2 fig6 fig7 table1 table2 table3 table4 table5 numa all
 //! ```
 //!
 //! Several experiments may be named in one invocation; they run in order and
-//! share one JSON report. `serve` is the multi-query serving
-//! throughput/latency experiment and `serve-batch` the batched-vs-unbatched
-//! point-query comparison (neither is a paper figure); their JSON records
-//! carry the schema-v2 p50/p99/qps fields. `decode-bw` measures compressed
-//! adjacency decode bandwidth (per-byte vs word-at-a-time vs hybrid) and
-//! `serve-compressed` replays the batched point-query workload over a
-//! compressed snapshot; both emit the schema-v3 compression fields.
-//! `serve-sharded` replays it over a partitioned snapshot at shard counts
-//! 1/2/4 against the monolithic service, emitting the schema-v4 per-shard
-//! fields. `serve-sched` compares FIFO dispatch against deadline classes,
-//! same-parameter PageRank batching against per-query runs, and a hot
-//! result cache against cold re-execution, emitting the schema-v5
-//! scheduler/cache fields. `serve-update` measures a point-lookup stream in
-//! steady state and again while edge-update batches are compacted, flushed
-//! under the NVRAM write budget, and epoch-swapped underneath the readers,
-//! emitting the schema-v6 publish fields.
+//! share one JSON report. An unknown experiment name, or a `SAGE_SCALE` that
+//! is not a valid scale, exits 2 before anything runs.
 //!
 //! When `SAGE_BENCH_JSON=<path>` is set, every timed run is additionally
-//! written to `<path>` as machine-readable JSON (see `sage_bench::report`),
-//! which is how CI tracks the perf trajectory across PRs (`BENCH_*.json`):
-//! the `bench_diff` binary compares a fresh report against the committed
-//! baselines under `bench/baselines/` and fails CI on regressions.
+//! written to `<path>` as machine-readable JSON (see `sage_bench::report`);
+//! the `bench_diff` binary compares such a report against a committed
+//! baseline under `bench/baselines/` and fails on a `graph_write`
+//! regression.
 
 use sage_nvram::alloc_track::TrackingAlloc;
 
@@ -39,54 +23,48 @@ use sage_nvram::alloc_track::TrackingAlloc;
 static ALLOC: TrackingAlloc = TrackingAlloc;
 
 fn main() {
+    let scale = sage_bench::Suite::scale_from(std::env::var("SAGE_SCALE").ok().as_deref())
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args = if args.is_empty() {
         vec!["all".to_string()]
     } else {
         args
     };
-    println!(
-        "sage-bench: scale=2^{} threads={} (override with SAGE_SCALE / SAGE_THREADS)",
-        sage_bench::Suite::base_scale(),
-        sage_parallel::num_threads()
-    );
-    for arg in &args {
-        match arg.as_str() {
-            "fig1" => sage_bench::experiments::fig1(),
-            "fig2" => sage_bench::experiments::fig2(),
-            "fig6" => sage_bench::experiments::fig6(),
-            "fig7" => sage_bench::experiments::fig7(),
-            "table1" => sage_bench::experiments::table1(),
-            "table2" => sage_bench::experiments::table2(),
-            "table3" => sage_bench::experiments::table3(),
-            "table4" => sage_bench::experiments::table4(),
-            "table5" => sage_bench::experiments::table5(),
-            "numa" => sage_bench::experiments::numa(),
-            "serve" => sage_bench::experiments::serve(),
-            "serve-batch" => sage_bench::experiments::serve_batch(),
-            "decode-bw" => sage_bench::experiments::decode_bw(),
-            "serve-compressed" => sage_bench::experiments::serve_compressed(),
-            "serve-sharded" => sage_bench::experiments::serve_sharded(),
-            "serve-sched" => sage_bench::experiments::serve_sched(),
-            "serve-update" => sage_bench::experiments::serve_update(),
-            "all" => sage_bench::experiments::all(),
+    let experiments: Vec<fn()> = args
+        .iter()
+        .map(|arg| match arg.as_str() {
+            "fig1" => sage_bench::experiments::fig1,
+            "fig2" => sage_bench::experiments::fig2,
+            "fig6" => sage_bench::experiments::fig6,
+            "fig7" => sage_bench::experiments::fig7,
+            "table1" => sage_bench::experiments::table1,
+            "table2" => sage_bench::experiments::table2,
+            "table3" => sage_bench::experiments::table3,
+            "table4" => sage_bench::experiments::table4,
+            "table5" => sage_bench::experiments::table5,
+            "numa" => sage_bench::experiments::numa,
+            "all" => sage_bench::experiments::all,
             other => {
                 eprintln!("unknown experiment {other:?}");
-                eprintln!(
-                    "choose from: fig1 fig2 fig6 fig7 table1..table5 numa serve serve-batch \
-                     decode-bw serve-compressed serve-sharded serve-sched serve-update all"
-                );
+                eprintln!("choose from: fig1 fig2 fig6 fig7 table1..table5 numa all");
                 std::process::exit(2);
             }
-        }
+        })
+        .collect();
+    println!(
+        "sage-bench: scale=2^{scale} threads={} (override with SAGE_SCALE / SAGE_THREADS)",
+        sage_parallel::num_threads()
+    );
+    for experiment in experiments {
+        experiment();
     }
     if let Ok(path) = std::env::var("SAGE_BENCH_JSON") {
         let path = std::path::PathBuf::from(path);
-        match sage_bench::report::write_json(
-            &path,
-            sage_bench::Suite::base_scale(),
-            sage_parallel::num_threads(),
-        ) {
+        match sage_bench::report::write_json(&path, scale, sage_parallel::num_threads()) {
             Ok(()) => println!(
                 "wrote {} timed records to {}",
                 sage_bench::report::len(),

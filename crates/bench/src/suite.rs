@@ -51,6 +51,10 @@ impl BenchGraph {
     }
 }
 
+/// Largest accepted `SAGE_SCALE`: the suite's largest graph has
+/// `2^(scale + 2)` vertices, which must stay addressable by 32-bit ids.
+const MAX_SCALE: u32 = 29;
+
 /// The three-graph suite used by most experiments (the paper's ClueWeb /
 /// Hyperlink2014 / Hyperlink2012 trio, at laptop scale).
 pub struct Suite {
@@ -61,11 +65,25 @@ pub struct Suite {
 impl Suite {
     /// Base scale: `SAGE_SCALE` env var (default 14 → n = 16384 for quick
     /// runs; the committed experiment logs use 17).
+    ///
+    /// # Panics
+    /// Panics if `SAGE_SCALE` is set but not a valid scale (see
+    /// [`Suite::scale_from`]); the harness binary checks it up front.
     pub fn base_scale() -> u32 {
-        std::env::var("SAGE_SCALE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(14)
+        Self::scale_from(std::env::var("SAGE_SCALE").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Parse a `SAGE_SCALE` value: unset means 14, anything else must be a
+    /// whole number in `1..=29`.
+    pub fn scale_from(raw: Option<&str>) -> Result<u32, String> {
+        let Some(raw) = raw else { return Ok(14) };
+        match raw.parse::<u32>() {
+            Ok(s) if (1..=MAX_SCALE).contains(&s) => Ok(s),
+            _ => Err(format!(
+                "SAGE_SCALE={raw:?} is not a scale: expected a whole number in 1..={MAX_SCALE}"
+            )),
+        }
     }
 
     /// Build the suite at the configured scale.
@@ -126,5 +144,16 @@ mod tests {
         assert_eq!(g.csr.num_vertices(), g.weighted.num_vertices());
         assert!(g.weighted.is_weighted());
         assert!(!g.csr.is_weighted());
+    }
+
+    #[test]
+    fn scale_parse_accepts_numbers_and_rejects_the_rest() {
+        assert_eq!(Suite::scale_from(None), Ok(14));
+        assert_eq!(Suite::scale_from(Some("8")), Ok(8));
+        assert_eq!(Suite::scale_from(Some("29")), Ok(MAX_SCALE));
+        for bad in ["abc", "", " 8", "8.0", "-1", "0", "30"] {
+            let err = Suite::scale_from(Some(bad)).unwrap_err();
+            assert!(err.contains("SAGE_SCALE"), "{bad:?}: {err}");
+        }
     }
 }

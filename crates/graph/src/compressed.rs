@@ -616,13 +616,14 @@ impl CompressedCsr {
     }
 
     /// One full-graph decode pass through the production (word-at-a-time +
-    /// hybrid) path, folded into a checksum so the `decode-bw` experiment's
-    /// work cannot be optimized away.
+    /// hybrid) path, folded into a checksum so a decode-bandwidth
+    /// measurement (`benchmark/`'s `graph.decode_medges_per_s`) cannot be
+    /// optimized away.
     ///
     /// Deliberately single-threaded: decode bandwidth is a per-core kernel
     /// property, and fork/steal overhead both caps and jitters the measured
-    /// rate on small inputs (parallel *serving* throughput is what the
-    /// `serve-compressed` experiment measures).
+    /// rate on small inputs (parallel serving over a compressed snapshot is
+    /// what `benchmark/`'s `analytics-compressed` workload measures).
     pub fn decode_checksum(&self) -> u64 {
         let mut acc = 0u64;
         for vi in 0..self.num_vertices() {
@@ -633,7 +634,8 @@ impl CompressedCsr {
         acc
     }
 
-    /// The same pass through the per-byte reference decoder.
+    /// The same pass through the per-byte reference decoder
+    /// (`graph.decode_per_byte_medges_per_s`).
     pub fn decode_checksum_per_byte(&self) -> u64 {
         let mut acc = 0u64;
         for vi in 0..self.num_vertices() {

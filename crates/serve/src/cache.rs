@@ -14,7 +14,7 @@
 //! * **Eviction** is LRU by a monotone touch tick; an entry larger than the
 //!   whole capacity is simply not admitted.
 //! * **Epoch keying** is the invalidation hook for live updates: bumping the
-//!   service epoch (see [`crate::GraphService::advance_epoch`]) makes every
+//!   service epoch (see [`crate::GraphService::publish`]) makes every
 //!   cached key stale at lookup time, and [`ResultCache::retain_epoch`]
 //!   reclaims their bytes eagerly.
 //! * **Coherence**: only successful responses are inserted, the stored

@@ -170,17 +170,6 @@ impl ServiceConfig {
             ..Self::default()
         }
     }
-
-    /// The pre-scheduler behaviour: strict FIFO, no linger, no cache, pure
-    /// a-priori admission — the A/B baseline the `serve-sched` benchmark
-    /// (and any regression bisect) measures against.
-    pub fn fifo_baseline() -> Self {
-        Self {
-            sched: SchedPolicy::fifo(),
-            measured_admission: false,
-            ..Self::default()
-        }
-    }
 }
 
 /// Point-in-time serving statistics.
@@ -529,13 +518,6 @@ pub struct GraphService<G: Graph + Send + Sync + 'static> {
 }
 
 impl<G: Graph + Send + Sync + 'static> GraphService<G> {
-    /// Start a service over `graph` with `config` workers/budget/batching.
-    #[deprecated(note = "use `ServiceBuilder` (e.g. \
-                         `ServiceBuilder::from_config(config).start(graph)`)")]
-    pub fn start(graph: G, config: ServiceConfig) -> Self {
-        Self::from_snapshot(Snapshot::new(graph), config)
-    }
-
     pub(crate) fn from_snapshot(snapshot: Snapshot<G>, config: ServiceConfig) -> Self {
         Self {
             core: ServiceCore::start(
@@ -591,15 +573,6 @@ impl<G: Graph + Send + Sync + 'static> GraphService<G> {
     /// Current snapshot epoch (tags every fresh result and result-cache key).
     pub fn epoch(&self) -> u64 {
         self.core.epoch()
-    }
-
-    /// Advance the snapshot epoch without changing the graph, invalidating
-    /// every cached result. Returns the new epoch.
-    #[deprecated(note = "epoch advance is the internal half of a publish; \
-                         use `publish` / `publish_updates`")]
-    pub fn advance_epoch(&self) -> u64 {
-        let epoch = self.core.engine().cell.bump();
-        self.core.note_publish(epoch)
     }
 
     /// Result-cache statistics, if the service was configured with a cache

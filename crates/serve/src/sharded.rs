@@ -60,13 +60,6 @@ pub struct ShardedService {
 }
 
 impl ShardedService {
-    /// Start a service over the sharded snapshot.
-    #[deprecated(note = "use `ServiceBuilder` (e.g. \
-                         `ServiceBuilder::from_config(config).start_sharded(graph)`)")]
-    pub fn start(graph: ShardedCsr, config: ServiceConfig) -> Self {
-        Self::from_snapshot(Snapshot::new(graph), config)
-    }
-
     pub(crate) fn from_snapshot(snapshot: Snapshot<ShardedCsr>, config: ServiceConfig) -> Self {
         Self {
             core: ServiceCore::start(
@@ -152,15 +145,6 @@ impl ShardedService {
     /// Current snapshot epoch (tags every fresh result and result-cache key).
     pub fn epoch(&self) -> u64 {
         self.core.epoch()
-    }
-
-    /// Advance the snapshot epoch without changing the graph, invalidating
-    /// every cached result. Returns the new epoch.
-    #[deprecated(note = "epoch advance is the internal half of a publish; \
-                         use `publish` / `publish_updates`")]
-    pub fn advance_epoch(&self) -> u64 {
-        let epoch = self.core.engine().cell.bump();
-        self.core.note_publish(epoch)
     }
 
     /// Result-cache statistics, if the service was configured with a cache.

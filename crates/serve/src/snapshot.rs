@@ -134,22 +134,11 @@ impl<G> SnapshotCell<G> {
         *slot = Arc::new(Versioned { epoch, graph });
         epoch
     }
-
-    /// Advance the epoch without changing the graph (the internal half of a
-    /// publish; also behind the deprecated `advance_epoch`).
-    pub(crate) fn bump(&self) -> u64 {
-        let mut slot = self.slot.lock();
-        let epoch = slot.epoch + 1;
-        let graph = Arc::clone(&slot.graph);
-        *slot = Arc::new(Versioned { epoch, graph });
-        epoch
-    }
 }
 
 /// The one construction surface for both service fronts: wraps a
 /// [`ServiceConfig`] (including the [`interactive`](ServiceBuilder::interactive)
-/// / [`throughput`](ServiceBuilder::throughput) /
-/// [`fifo_baseline`](ServiceBuilder::fifo_baseline) presets) and starts a
+/// and [`throughput`](ServiceBuilder::throughput) presets) and starts a
 /// [`GraphService`] over any [`Graph`] or a [`ShardedService`] over a
 /// [`ShardedCsr`].
 ///
@@ -188,11 +177,6 @@ impl ServiceBuilder {
     /// The [`ServiceConfig::throughput`] preset.
     pub fn throughput() -> Self {
         Self::from_config(ServiceConfig::throughput())
-    }
-
-    /// The [`ServiceConfig::fifo_baseline`] preset.
-    pub fn fifo_baseline() -> Self {
-        Self::from_config(ServiceConfig::fifo_baseline())
     }
 
     /// Serving worker threads (`0` = default).

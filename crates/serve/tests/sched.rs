@@ -227,8 +227,8 @@ fn per_class_completion_stats() {
     );
 }
 
-/// The presets wire the tentpole features coherently: both serving presets
-/// linger and cache; the FIFO baseline turns every scheduler feature off.
+/// The presets wire the scheduling features coherently: both serving presets
+/// linger, cache and schedule by class with aging.
 #[test]
 fn presets_wire_linger_cache_and_scheduling() {
     for cfg in [ServiceConfig::interactive(), ServiceConfig::throughput()] {
@@ -239,11 +239,6 @@ fn presets_wire_linger_cache_and_scheduling() {
         assert!(cfg.sched.age_after > Duration::ZERO, "aging must be on");
         assert!(cfg.measured_admission);
     }
-    let fifo = ServiceConfig::fifo_baseline();
-    assert!(!fifo.sched.priority);
-    assert!(!fifo.measured_admission);
-    assert_eq!(fifo.cache_bytes, 0);
-
     // Default stays the conservative pre-scheduler shape: no cache, but
     // priority scheduling on.
     let d = ServiceConfig::default();
