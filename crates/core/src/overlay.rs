@@ -26,7 +26,7 @@
 //! preserves that invariant, which is what makes merge iteration and
 //! compaction order-exact.
 
-use sage_graph::{Csr, Graph, Storage, V};
+use sage_graph::{Csr, Graph, Sharded, Storage, V};
 use sage_nvram::meter;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -248,6 +248,16 @@ impl<G: Graph + Send + Sync> DeltaOverlay<G> {
             csr.mark_symmetric();
         }
         csr
+    }
+}
+
+/// An overlay is one merged view of its base, hence a single shard (the
+/// pre-publish read path serves it like any monolithic snapshot).
+impl<G: Graph + Send + Sync> Sharded for DeltaOverlay<G> {
+    type Shard = Self;
+
+    fn shard(&self, _s: usize) -> &Self {
+        self
     }
 }
 

@@ -49,13 +49,18 @@ impl ShardHook for NoHook {
 
 /// One [`MeterScope`](sage_nvram::meter::MeterScope) per shard: shard `s`'s
 /// work is entered into `scopes[s]`, so its traffic is attributed there
-/// (and, as always, to the global meter).
+/// (and, as always, to the global meter). An empty slice is the one-shard
+/// case: the work stays on the caller's scope.
 pub struct MeterShardScopes<'a>(pub &'a [meter::MeterScope]);
 
 impl ShardHook for MeterShardScopes<'_> {
     #[inline]
     fn run<R>(&self, s: usize, f: impl FnOnce() -> R) -> R {
-        self.0[s].enter(f)
+        if self.0.is_empty() {
+            f()
+        } else {
+            self.0[s].enter(f)
+        }
     }
 }
 

@@ -17,8 +17,10 @@
 //! doing nearly all the work on power-law inputs).
 //!
 //! [`Sharded`] is the small capability trait the engine's shard-aware
-//! drivers (`sage-core`'s delta-round handoff traversals) and the sharded
-//! serving router are generic over.
+//! drivers (`sage-core`'s delta-round handoff traversals) and the serving
+//! layer are generic over. A monolithic graph is its one-shard case: [`Csr`]
+//! and [`CompressedCsr`] implement it with the trait's defaults and are
+//! their own single shard.
 
 use crate::compressed::CompressedCsr;
 use crate::csr::Csr;
@@ -28,15 +30,47 @@ use crate::{Graph, V};
 /// independently traversable. Implementors must preserve monolithic
 /// per-vertex adjacency order so traversal results stay representation-
 /// independent.
+///
+/// The defaults describe one shard covering every vertex, so a monolithic
+/// graph only names itself as that shard.
 pub trait Sharded: Graph {
+    /// The graph type of one shard.
+    type Shard: Graph;
+
     /// Number of shards (≥ 1).
-    fn num_shards(&self) -> usize;
+    fn num_shards(&self) -> usize {
+        1
+    }
 
     /// The shard owning vertex `v`.
-    fn shard_of(&self, v: V) -> usize;
+    fn shard_of(&self, _v: V) -> usize {
+        0
+    }
 
     /// The global vertex range of shard `s`.
-    fn shard_range(&self, s: usize) -> std::ops::Range<V>;
+    fn shard_range(&self, _s: usize) -> std::ops::Range<V> {
+        0..self.num_vertices() as V
+    }
+
+    /// Shard `s`'s graph (for a partitioned graph: local vertex rows, global
+    /// edge targets).
+    fn shard(&self, s: usize) -> &Self::Shard;
+}
+
+impl Sharded for Csr {
+    type Shard = Csr;
+
+    fn shard(&self, _s: usize) -> &Csr {
+        self
+    }
+}
+
+impl Sharded for CompressedCsr {
+    type Shard = CompressedCsr;
+
+    fn shard(&self, _s: usize) -> &CompressedCsr {
+        self
+    }
 }
 
 /// One shard's representation: a plain or byte-compressed CSR over the
@@ -125,8 +159,8 @@ impl Graph for ShardRepr {
 
 /// A vertex-range-sharded snapshot. Implements [`Graph`] by routing every
 /// per-vertex operation to the owning shard, so the whole engine runs over
-/// it unchanged; shard-aware callers use [`Sharded`] plus
-/// [`ShardedCsr::shard`] to drive per-shard work explicitly.
+/// it unchanged; shard-aware callers use [`Sharded`] (including
+/// [`Sharded::shard`]) to drive per-shard work explicitly.
 pub struct ShardedCsr {
     shards: Vec<ShardRepr>,
     /// `starts[s]..starts[s+1]` is shard `s`'s vertex range; length `k+1`,
@@ -222,11 +256,6 @@ impl ShardedCsr {
         }
     }
 
-    /// Shard `s`'s graph (local vertex rows, global edge targets).
-    pub fn shard(&self, s: usize) -> &ShardRepr {
-        &self.shards[s]
-    }
-
     /// The shard boundary table (`k+1` entries, first 0, last `n`).
     pub fn starts(&self) -> &[u64] {
         &self.starts
@@ -313,6 +342,8 @@ fn slice_csr(g: &Csr, lo: usize, hi: usize) -> Csr {
 }
 
 impl Sharded for ShardedCsr {
+    type Shard = ShardRepr;
+
     #[inline]
     fn num_shards(&self) -> usize {
         self.shards.len()
@@ -327,6 +358,11 @@ impl Sharded for ShardedCsr {
     #[inline]
     fn shard_range(&self, s: usize) -> std::ops::Range<V> {
         self.starts[s] as V..self.starts[s + 1] as V
+    }
+
+    #[inline]
+    fn shard(&self, s: usize) -> &ShardRepr {
+        &self.shards[s]
     }
 }
 
@@ -474,6 +510,19 @@ mod tests {
                 "shard {s} holds nearly every edge"
             );
         }
+    }
+
+    #[test]
+    fn monolithic_graphs_are_their_own_single_shard() {
+        let g = gen::rmat(8, 8, gen::RmatParams::default(), 3);
+        let comp = CompressedCsr::from_csr(&g, 64);
+        assert_eq!(g.num_shards(), 1);
+        assert_eq!(g.shard_of(17), 0);
+        assert_eq!(g.shard_range(0), 0..g.num_vertices() as V);
+        assert!(std::ptr::eq(g.shard(0), &g));
+        assert_eq!(comp.num_shards(), 1);
+        assert_eq!(comp.shard_range(0).len(), comp.num_vertices());
+        assert!(std::ptr::eq(comp.shard(0), &comp));
     }
 
     #[test]

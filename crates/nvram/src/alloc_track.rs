@@ -115,9 +115,20 @@ mod tests {
     // behaviour with the allocator installed is covered by the crate's
     // integration test (tests/alloc_integration.rs), because a global
     // allocator can only be registered once per binary.
+    //
+    // Both move the process-wide counters and one asserts an exact delta, so
+    // they hold one lock (poison is ignored: a failure must not cascade).
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn add_sub_and_peak() {
+        let _serial = serial();
         let base_cur = current_bytes();
         let before_peak = peak_bytes();
         add(1000);
@@ -132,6 +143,7 @@ mod tests {
 
     #[test]
     fn reset_peak_tracks_from_current() {
+        let _serial = serial();
         add(64);
         reset_peak();
         let p = peak_bytes();

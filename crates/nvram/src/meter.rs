@@ -392,8 +392,21 @@ impl MemConfig {
 mod tests {
     use super::*;
 
+    // The global meter is process-wide, so a test asserting an exact global
+    // delta races with every sibling test that charges it. Every test that
+    // charges or reads the global meter holds this lock. A poisoned lock is
+    // fine to reuse: one test's failure must not cascade into the others.
+    static GLOBAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        GLOBAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn snapshot_diff() {
+        let _serial = serial();
         let a = Meter::global().snapshot();
         graph_read(50);
         aux_write(7);
@@ -405,6 +418,7 @@ mod tests {
 
     #[test]
     fn sharded_counters_aggregate_across_threads() {
+        let _serial = serial();
         let before = Meter::global().snapshot();
         let handles: Vec<_> = (0..8)
             .map(|_| {
@@ -481,6 +495,7 @@ mod tests {
 
     #[test]
     fn global_meter_accumulates() {
+        let _serial = serial();
         let before = Meter::global().snapshot();
         graph_read(11);
         aux_write(5);
@@ -504,6 +519,7 @@ mod tests {
 
     #[test]
     fn scope_attributes_exactly_its_own_traffic() {
+        let _serial = serial();
         let scope = MeterScope::new();
         graph_read(1000); // outside the scope: global only
         scope.enter(|| {
@@ -520,6 +536,7 @@ mod tests {
 
     #[test]
     fn scope_also_feeds_the_global_meter() {
+        let _serial = serial();
         let before = Meter::global().snapshot();
         let scope = MeterScope::new();
         scope.enter(|| graph_read(123));
@@ -532,6 +549,7 @@ mod tests {
 
     #[test]
     fn scope_follows_parallel_tasks_onto_workers() {
+        let _serial = serial();
         use sage_parallel as par;
         let scope = MeterScope::new();
         scope.enter(|| {
@@ -545,6 +563,7 @@ mod tests {
 
     #[test]
     fn nested_scopes_innermost_wins() {
+        let _serial = serial();
         let outer = MeterScope::new();
         let inner = MeterScope::new();
         outer.enter(|| {
@@ -558,6 +577,7 @@ mod tests {
 
     #[test]
     fn scope_unaffected_by_global_reset() {
+        let _serial = serial();
         // A private (non-global) meter stands in for "some other harness
         // meter being reset"; the scope's meter has no shared state with it.
         let scope = MeterScope::new();
@@ -576,6 +596,7 @@ mod tests {
 
     #[test]
     fn concurrent_scopes_do_not_bleed() {
+        let _serial = serial();
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 std::thread::spawn(move || {

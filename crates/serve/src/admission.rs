@@ -5,7 +5,7 @@
 //! Theorem 4.1) — so the aggregate DRAM of a server is `O(n) × active
 //! queries`, and bounding concurrency bounds memory. Each query class carries
 //! a words-per-vertex estimate ([`dram_estimate`]) and every batch a shared
-//! one ([`batch_estimate`]); a worker acquires that many bytes from the
+//! one ([`batch_estimate_for`]); a worker acquires that many bytes from the
 //! shared budget before executing and releases them after, blocking while
 //! the budget is exhausted. An execution unit whose estimate exceeds the
 //! whole budget is clamped, so it can still run — alone.
@@ -13,7 +13,7 @@
 use crate::batch::QueryBatch;
 use crate::query::{BatchClass, Query};
 use parking_lot::{Condvar, Mutex};
-use sage_graph::{Graph, Sharded, ShardedCsr};
+use sage_graph::{Graph, Sharded};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bytes per word in the estimates (the PSAM meters in 8-byte words).
@@ -61,51 +61,6 @@ pub fn dram_estimate(n: usize, query: &Query) -> u64 {
     }
 }
 
-/// Estimated peak DRAM of one *batch*, in bytes, for a graph of `n`
-/// vertices.
-///
-/// The whole point of batched execution is that shared state does **not**
-/// scale with the member count:
-///
-/// * a BFS batch of `k` sources runs on three `O(n)`-word mask arrays plus a
-///   frontier — one set for the whole batch, not `k` frontiers — and only
-///   the returned level arrays are per-member (`k·n` words, the same words
-///   an unbatched run would hand back one query at a time);
-/// * a connectivity batch runs **one** labeling regardless of how many
-///   `(u, v)` probes consume it;
-/// * neighborhood members execute sequentially, so their peak is the
-///   largest single estimate, not the sum.
-///
-/// Singleton batches fall back to [`dram_estimate`] exactly.
-pub fn batch_estimate(n: usize, batch: &QueryBatch) -> u64 {
-    let members = batch.members();
-    if members.len() == 1 {
-        return dram_estimate(n, members[0].query());
-    }
-    let k = members.len() as u64;
-    let n = n as u64;
-    match batch.class() {
-        // 3 mask arrays + frontier scratch, plus k level outputs.
-        BatchClass::Bfs => (4 * n + k * n) * WORD,
-        // One labeling; per-probe state is O(1).
-        BatchClass::Connected => 3 * n * WORD + k * 64,
-        // One shared power method (three rank vectors + contributions); only
-        // the report pairs are per-member.
-        BatchClass::PageRank { .. } => 4 * n * WORD + k * 64 + report_bytes(members, 16),
-        // One shared (possibly truncated) peel; reports are per-member.
-        BatchClass::KCore { .. } => KCORE_WORDS * n * WORD + k * 64 + report_bytes(members, 8),
-        // Sequential member execution: peak = the largest member.
-        BatchClass::Neighborhood => {
-            members
-                .iter()
-                .map(|p| dram_estimate(n as usize, p.query()))
-                .max()
-                .unwrap_or(0)
-                + k * 64
-        }
-    }
-}
-
 /// Total report-vertex bytes across an analytics batch's members at
 /// `bytes_per_vertex` per reported entry.
 fn report_bytes(members: &[crate::queue::Pending], bytes_per_vertex: u64) -> u64 {
@@ -142,46 +97,51 @@ pub fn dram_estimate_for<G: Graph>(g: &G, query: &Query) -> u64 {
     dram_estimate(g.num_vertices(), query) + decode_scratch_estimate(g)
 }
 
-/// [`batch_estimate`] plus the representation-dependent decode-scratch
-/// surcharge — what the serving workers actually acquire.
-pub fn batch_estimate_for<G: Graph>(g: &G, batch: &QueryBatch) -> u64 {
-    batch_estimate(g.num_vertices(), batch) + decode_scratch_estimate(g)
-}
-
-/// Estimated peak DRAM of one execution unit on a **sharded** snapshot —
-/// what [`crate::ShardedService`]'s workers acquire.
+/// Estimated peak DRAM of one execution unit, in bytes — what the serving
+/// workers acquire for `batch` on the snapshot `g` (a monolithic graph is
+/// the one-shard case).
 ///
-/// Two ways this differs from the monolithic [`batch_estimate_for`]:
+/// The whole point of batched execution is that shared state does **not**
+/// scale with the member count:
 ///
-/// * the DRAM terms track the scatter-gather state shapes: a BFS unit keeps
-///   the three global `O(n)` mask arrays plus per-shard frontier slices
-///   whose *total* is `O(n)` (they partition the vertex set), and a
-///   connectivity unit keeps **one** lock-free union-find forest shared by
-///   every shard task plus the label array — two `u32` arrays, one word per
-///   vertex whatever the shard count;
-/// * the decode-scratch surcharge is summed over the **distinct shards the
-///   unit actually touches** — once per unit, never once per member (a
-///   batch of `k` 1-hop probes in one compressed shard decodes in that
-///   shard's scratch alone, not `k × num_shards` buffer sets). See
-///   [`sharded_scratch_estimate`].
-pub fn sharded_batch_estimate_for(g: &ShardedCsr, batch: &QueryBatch) -> u64 {
-    let n = g.num_vertices() as u64;
-    let k = batch.len() as u64;
+/// * a BFS batch of `k` sources runs on three `O(n)`-word mask arrays plus a
+///   frontier — one set for the whole batch, not `k` frontiers — and only
+///   the returned level arrays are per-member (`k·n` words, the same words
+///   an unbatched run would hand back one query at a time); the sharded
+///   driver's per-shard frontier slices (old + next, totalling `~2n` since
+///   they partition the vertex set) add one more `n`;
+/// * a connectivity batch runs **one** labeling regardless of how many
+///   `(u, v)` probes consume it; on more than one shard that labeling is one
+///   lock-free union-find forest shared by every shard task plus the label
+///   array — two `u32` arrays, one word per vertex whatever the shard count;
+/// * analytics run one shared power method or peel; only the report pairs
+///   are per-member;
+/// * neighborhood members execute sequentially, so their peak is the
+///   largest single estimate, not the sum; a 1-hop probe's frontier lives
+///   inside one shard, so its `O(n)` bound shrinks to that shard's range.
+///
+/// A lone query on one shard is priced exactly as [`dram_estimate`]. The
+/// representation adds its decode scratch, summed over the distinct shards
+/// the unit touches ([`batch_scratch_estimate`]).
+pub fn batch_estimate_for<G: Sharded>(g: &G, batch: &QueryBatch) -> u64 {
     let members = batch.members();
+    let n = g.num_vertices() as u64;
+    let k = members.len() as u64;
+    let sharded = g.num_shards() > 1;
     let base = match batch.class() {
-        // 3 global mask arrays + per-shard frontiers totalling ~2n (old +
-        // next across all shards), plus k level outputs.
-        BatchClass::Bfs => (5 * n + k * n) * WORD,
+        _ if k == 1 && !sharded => dram_estimate(n as usize, members[0].query()),
+        // 3 mask arrays + frontier scratch, plus k level outputs.
+        BatchClass::Bfs if sharded => (5 * n + k * n) * WORD,
+        BatchClass::Bfs => (4 * n + k * n) * WORD,
         // The shared forest + the labels (n u32 each), and a page per shard
         // task for its spawned job and hook bookkeeping.
-        BatchClass::Connected => n * WORD + g.num_shards() as u64 * 4096 + k * 64,
-        // Shared analytics runs see the sharded snapshot as one graph: same
-        // state shapes as the monolithic batch estimate.
+        BatchClass::Connected if sharded => n * WORD + g.num_shards() as u64 * 4096 + k * 64,
+        // One LDD labeling; per-probe state is O(1).
+        BatchClass::Connected => 3 * n * WORD + k * 64,
+        // One shared power method (three rank vectors + contributions).
         BatchClass::PageRank { .. } => 4 * n * WORD + k * 64 + report_bytes(members, 16),
+        // One shared (possibly truncated) peel.
         BatchClass::KCore { .. } => KCORE_WORDS * n * WORD + k * 64 + report_bytes(members, 8),
-        // Sequential member execution: peak = the largest member. A 1-hop
-        // probe's frontier lives inside one shard, so its O(n) bound shrinks
-        // to the owning shard's vertex range.
         BatchClass::Neighborhood => {
             members
                 .iter()
@@ -197,19 +157,20 @@ pub fn sharded_batch_estimate_for(g: &ShardedCsr, batch: &QueryBatch) -> u64 {
                 + k * 64
         }
     };
-    base + sharded_scratch_estimate(g, batch)
+    base + batch_scratch_estimate(g, batch)
 }
 
-/// Decode-scratch surcharge for one execution unit on a sharded snapshot:
-/// the sum of [`decode_scratch_estimate`] over the **distinct** shards the
-/// unit will touch, each charged exactly once.
+/// Decode-scratch surcharge for one execution unit: the sum of
+/// [`decode_scratch_estimate`] over the **distinct** shards the unit will
+/// touch, each charged exactly once — on one shard, exactly
+/// `decode_scratch_estimate(g)`.
 ///
 /// Whole-graph units (BFS traversals, connectivity labelings, analytics,
 /// 2-hop probes) touch every shard; a 1-hop neighborhood probe touches only
 /// the shard owning its center. Charging per *distinct shard* rather than
 /// per *member × shard* is what keeps a batch of `k` single-shard probes
 /// from reserving `k × num_shards` buffer sets it can never use.
-pub fn sharded_scratch_estimate(g: &ShardedCsr, batch: &QueryBatch) -> u64 {
+pub fn batch_scratch_estimate<G: Sharded>(g: &G, batch: &QueryBatch) -> u64 {
     let mut touched = vec![false; g.num_shards()];
     match batch.class() {
         BatchClass::Neighborhood => {
@@ -550,25 +511,25 @@ mod tests {
             .map(|i| Pending::new(i, Query::Neighborhood { src, hops: 1 }).0)
             .collect();
         let batch = QueryBatch::new(members, BatchClass::Neighborhood);
-        assert_eq!(sharded_scratch_estimate(&g, &batch), per_shard[0]);
+        assert_eq!(batch_scratch_estimate(&g, &batch), per_shard[0]);
 
         // A whole-graph unit charges every shard — once each.
         let members = vec![Pending::new(0, Query::Bfs { src: 0 }).0];
         let bfs = QueryBatch::new(members, BatchClass::Bfs);
         assert_eq!(
-            sharded_scratch_estimate(&g, &bfs),
+            batch_scratch_estimate(&g, &bfs),
             per_shard.iter().sum::<u64>()
         );
 
         // Plain shards need no decode scratch at all.
         let plain = ShardedCsr::from_csr(&csr, 4);
-        assert_eq!(sharded_scratch_estimate(&plain, &bfs), 0);
+        assert_eq!(batch_scratch_estimate(&plain, &bfs), 0);
 
         // And the full estimate embeds the scratch term exactly once.
         let members = vec![Pending::new(0, Query::Neighborhood { src, hops: 1 }).0];
         let one = QueryBatch::new(members, BatchClass::Neighborhood);
-        let with = sharded_batch_estimate_for(&g, &one);
-        let without = sharded_batch_estimate_for(&plain, &one);
+        let with = batch_estimate_for(&g, &one);
+        let without = batch_estimate_for(&plain, &one);
         assert_eq!(with - without, per_shard[0]);
     }
 

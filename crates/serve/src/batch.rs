@@ -3,43 +3,59 @@
 //!
 //! The scheduler drains compatible queued queries (see
 //! [`RequestQueue::pop_batch`](crate::queue::RequestQueue::pop_batch)) and
-//! executes them as a unit:
+//! executes them as a unit over any [`Sharded`] snapshot — a monolithic graph
+//! is the one-shard case:
 //!
-//! * **BFS** batches run one bit-parallel
-//!   [`msbfs`](sage_core::algo::msbfs) traversal — up to 64 point queries
-//!   for the PSAM cost of a single edge sweep, with `O(n)` words of mask
-//!   state instead of one frontier per query;
-//! * **Connectivity-membership** batches run one labeling and answer every
-//!   `(u, v)` pair from it;
+//! * **BFS** runs [`bfs_levels`](sage_core::algo::bfs::bfs_levels) for a lone
+//!   query on one shard, one bit-parallel [`msbfs`](sage_core::algo::msbfs)
+//!   traversal for a batch on one shard (up to 64 point queries for the PSAM
+//!   cost of a single edge sweep, `O(n)` words of mask state instead of one
+//!   frontier per query), and the shard-aware delta-round driver
+//!   ([`msbfs_levels_sharded`]) under per-shard scopes when there are more
+//!   shards;
+//! * **Connectivity-membership** batches run one labeling — LDD
+//!   [`connectivity`](sage_core::algo::connectivity::connectivity) on one
+//!   shard, the shared-forest [`connectivity_sharded`] otherwise — and
+//!   answer every `(u, v)` pair from it;
 //! * **Neighborhood** batches share the dispatch/admission round-trip but
-//!   execute members under individual meter scopes (each probe is `O(deg)`;
-//!   there is no shared traversal to amortize);
-//! * **Same-parameter analytics** batches share one engine run:
-//!   [`BatchClass::PageRank`] groups on `(iters, damping)` (damping compared
-//!   by bit pattern) and [`BatchClass::KCore`] on the threshold `k`, so a
-//!   different fixed point never joins someone else's computation.
+//!   execute members as individual units (each probe is `O(deg)`; there is
+//!   no shared traversal to amortize), each hop under its owner's scope;
+//! * **Same-parameter analytics** batches share one engine run, a lone query
+//!   being a one-request run: [`BatchClass::PageRank`] groups on
+//!   `(iters, damping)` (damping compared by bit pattern) and
+//!   [`BatchClass::KCore`] on the threshold `k`, so a different fixed point
+//!   never joins someone else's computation.
 //!
 //! # Attribution
 //!
-//! A shared run executes under **one** [`MeterScope`]; its snapshot is then
-//! split across members **by touched-word shares** — for BFS, the number of
-//! vertices each source reached (each set mask bit is one source touching
-//! one vertex); for connectivity, uniformly (every member consumes the same
-//! labeling). The split is word-exact: members receive the floor share and
-//! the remainder words go to the first members, so the per-query snapshots
-//! still sum to precisely the batch's scoped traffic and the service-wide
-//! reconciliation invariant (`Σ per-query == global delta` in a quiet
-//! process) survives batching.
+//! Every unit runs under one outer [`MeterScope`] plus, when the snapshot
+//! has more than one shard, one scope per shard (`run_unit`); shard `s`'s
+//! work lands on its scope, everything else stays on the outer scope as
+//! residual. Each scope is split across members **by touched-word shares** —
+//! for BFS, the number of vertices each source reached (each set mask bit is
+//! one source touching one vertex); for connectivity, uniformly (every member
+//! consumes the same labeling); for analytics, by report size. The split is
+//! word-exact: members receive the floor share and the remainder words go to
+//! the first members, so the per-query snapshots still sum to precisely the
+//! unit's scoped traffic and the service-wide reconciliation invariant
+//! (`Σ per-query == global delta` in a quiet process) survives batching.
+//! Analytics sweep every edge per iteration, so on a partitioned snapshot
+//! their per-shard breakdown is each member's traffic split by shard edge
+//! count instead.
 //!
-//! Responses are **bitwise-identical** to unbatched execution: BFS answers
-//! are distance arrays (deterministic, unlike parent choices) and
-//! connectivity membership uses the same fixed seed as the unbatched path.
+//! Responses are **bitwise-identical** across batch sizes and shard counts:
+//! BFS answers are distance arrays (deterministic, unlike parent choices),
+//! connectivity membership depends only on the partition, and analytics run
+//! the same deterministic iteration over the same per-vertex adjacency order.
 
-use crate::query::{run_query, BatchClass, Query, Response};
+use crate::query::{BatchClass, Query, Response, PAGERANK_EPS, QUERY_SEED};
 use crate::queue::Pending;
 use sage_core::algo;
-use sage_graph::Graph;
+use sage_core::sharded::{connectivity_sharded, msbfs_levels_sharded, MeterShardScopes, ShardHook};
+use sage_graph::{Graph, Sharded, V};
 use sage_nvram::{meter, MeterScope, MeterSnapshot};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 /// A drained set of same-class requests answered by one shared execution.
 pub struct QueryBatch {
@@ -85,8 +101,8 @@ impl QueryBatch {
 pub(crate) struct BatchOutcome {
     pub(crate) response: Response,
     pub(crate) traffic: MeterSnapshot,
-    /// Per-shard breakdown of `traffic` (sharded engines only; empty for
-    /// monolithic execution and failed units).
+    /// Per-shard breakdown of `traffic` (empty on a one-shard snapshot and
+    /// for failed units).
     pub(crate) per_shard: Vec<MeterSnapshot>,
     /// Wall-clock seconds of the engine run that answered this member: the
     /// individual run for members executed in isolation, the shared run for
@@ -99,96 +115,54 @@ pub(crate) struct BatchOutcome {
 /// Panics from the engine are contained per execution unit and surface as
 /// [`Response::Failed`]; the calling worker always gets one outcome per
 /// member.
-pub(crate) fn run_batch<G: Graph>(g: &G, batch: &QueryBatch) -> Vec<BatchOutcome> {
+pub(crate) fn run_batch<G: Sharded>(g: &G, batch: &QueryBatch) -> Vec<BatchOutcome> {
     let members = batch.members();
-    if members.len() == 1 {
-        return vec![run_isolated(g, members[0].query())];
-    }
+    let sharded = g.num_shards() > 1;
     match batch.class() {
-        BatchClass::Bfs => run_bfs_batch(g, members),
-        BatchClass::Connected => run_connected_batch(g, members),
-        BatchClass::PageRank {
-            iters,
-            damping_bits,
-        } => run_pagerank_batch(g, members, iters, f64::from_bits(damping_bits)),
-        BatchClass::KCore { k } => run_kcore_batch(g, members, k),
-        // Neighborhood probes execute individually: exact attribution, no
-        // shared state to split.
-        BatchClass::Neighborhood => members.iter().map(|p| run_isolated(g, p.query())).collect(),
-    }
-}
-
-/// Run one query under its own scope, containing engine panics.
-fn run_isolated<G: Graph>(g: &G, query: &Query) -> BatchOutcome {
-    let scope = MeterScope::new();
-    let start = std::time::Instant::now();
-    let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        scope.enter(|| run_query(g, query))
-    }))
-    .unwrap_or_else(failed_response);
-    BatchOutcome {
-        response,
-        traffic: scope.snapshot(),
-        per_shard: Vec::new(),
-        seconds: start.elapsed().as_secs_f64(),
-    }
-}
-
-/// Up to 64 BFS point queries as one bit-parallel multi-source traversal.
-fn run_bfs_batch<G: Graph>(g: &G, members: &[Pending]) -> Vec<BatchOutcome> {
-    let sources: Vec<_> = members
-        .iter()
-        .map(|p| match p.query() {
-            Query::Bfs { src } => *src,
-            other => unreachable!("non-BFS query {other:?} in a BFS batch"),
-        })
-        .collect();
-    let scope = MeterScope::new();
-    let start = std::time::Instant::now();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        scope.enter(|| {
-            let ms = algo::msbfs::msbfs_levels(g, &sources);
-            // Unbatched parity: `run_query` reports one aux read per level
-            // word it returns.
-            meter::aux_read((ms.levels.len() * g.num_vertices()) as u64);
-            ms
-        })
-    }));
-    let seconds = start.elapsed().as_secs_f64();
-    match result {
-        Ok(ms) => {
-            // Touched-word shares: vertices reached per source (≥ 1, the
-            // source itself — but guard anyway so a zero-share split stays
-            // well-defined).
-            let shares: Vec<u64> = ms.reached.iter().map(|&r| (r as u64).max(1)).collect();
-            let splits = split_traffic(scope.snapshot(), &shares);
-            ms.levels
-                .into_iter()
-                .zip(ms.reached)
-                .zip(splits)
-                .map(|((levels, reached), traffic)| BatchOutcome {
-                    response: Response::Bfs { levels, reached },
-                    traffic,
-                    per_shard: Vec::new(),
-                    seconds,
+        BatchClass::Bfs => {
+            let sources: Vec<V> = members
+                .iter()
+                .map(|p| match p.query() {
+                    Query::Bfs { src } => *src,
+                    other => unreachable!("non-BFS query {other:?} in a BFS batch"),
                 })
-                .collect()
+                .collect();
+            run_unit(g, members.len(), ShardSplit::Scopes, |hook| {
+                let (levels, reached) = match sources[..] {
+                    _ if sharded => {
+                        let ms = msbfs_levels_sharded(g, &sources, hook);
+                        (ms.levels, ms.reached)
+                    }
+                    [src] => {
+                        let (levels, _rounds) = algo::bfs::bfs_levels(g, src);
+                        let reached = levels.iter().filter(|&&l| l != u64::MAX).count();
+                        (vec![levels], vec![reached])
+                    }
+                    _ => {
+                        let ms = algo::msbfs::msbfs_levels(g, &sources);
+                        (ms.levels, ms.reached)
+                    }
+                };
+                // One aux read per returned level word.
+                meter::aux_read((levels.len() * g.num_vertices()) as u64);
+                // Touched-word shares: vertices reached per source.
+                let shares = reached.iter().map(|&r| r as u64).collect();
+                let responses = levels
+                    .into_iter()
+                    .zip(reached)
+                    .map(|(levels, reached)| Response::Bfs { levels, reached })
+                    .collect();
+                (responses, shares)
+            })
         }
-        Err(payload) => failed_batch(members.len(), scope, seconds, payload),
-    }
-}
-
-/// Any number of membership probes answered by one connectivity labeling.
-fn run_connected_batch<G: Graph>(g: &G, members: &[Pending]) -> Vec<BatchOutcome> {
-    let scope = MeterScope::new();
-    let start = std::time::Instant::now();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        scope.enter(|| {
-            // Same fixed seed as the unbatched path, so batched answers are
-            // indistinguishable from unbatched ones.
-            let labels = algo::connectivity::connectivity(g, 0.2, crate::query::QUERY_SEED);
+        BatchClass::Connected => run_unit(g, members.len(), ShardSplit::Scopes, |hook| {
+            let labels = if sharded {
+                connectivity_sharded(g, hook)
+            } else {
+                algo::connectivity::connectivity(g, 0.2, QUERY_SEED)
+            };
             let components = algo::connectivity::num_components(&labels);
-            members
+            let responses = members
                 .iter()
                 .map(|p| match p.query() {
                     Query::Connected { u, v } => {
@@ -200,34 +174,196 @@ fn run_connected_batch<G: Graph>(g: &G, members: &[Pending]) -> Vec<BatchOutcome
                     }
                     other => unreachable!("non-membership query {other:?} in a Connected batch"),
                 })
-                .collect::<Vec<_>>()
-        })
+                .collect();
+            // Every member consumed the same labeling: uniform shares.
+            (responses, vec![1; members.len()])
+        }),
+        BatchClass::Neighborhood => members
+            .iter()
+            .flat_map(|p| {
+                let &Query::Neighborhood { src, hops } = p.query() else {
+                    unreachable!(
+                        "non-neighborhood query {:?} in a Neighborhood batch",
+                        p.query()
+                    );
+                };
+                run_unit(g, 1, ShardSplit::Scopes, |hook| {
+                    (vec![neighborhood(g, src, hops, hook)], vec![1])
+                })
+            })
+            .collect(),
+        BatchClass::PageRank {
+            iters,
+            damping_bits,
+        } => {
+            let requests = report_sets(members);
+            run_unit(g, members.len(), ShardSplit::Edges, |_| {
+                let multi = algo::pagerank::pagerank_multi(
+                    g,
+                    PAGERANK_EPS,
+                    iters,
+                    f64::from_bits(damping_bits),
+                    &requests,
+                );
+                let responses = multi
+                    .reports
+                    .into_iter()
+                    .map(|ranks| Response::PageRank {
+                        ranks,
+                        iterations: multi.iterations,
+                    })
+                    .collect();
+                (responses, charge_reports(&requests))
+            })
+        }
+        BatchClass::KCore { k } => {
+            let requests = report_sets(members);
+            run_unit(g, members.len(), ShardSplit::Edges, |_| {
+                let multi = algo::kcore::kcore_multi(g, k, &requests);
+                let responses = multi
+                    .reports
+                    .into_iter()
+                    .map(|coreness| Response::KCore {
+                        coreness,
+                        kmax: multi.kmax,
+                    })
+                    .collect();
+                (responses, charge_reports(&requests))
+            })
+        }
+    }
+}
+
+/// How a unit's traffic is attributed to shards when there is more than one.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ShardSplit {
+    /// Shard `s`'s work runs under its own meter scope (through the hook the
+    /// body receives); the rest of the unit is residual.
+    Scopes,
+    /// Every member's traffic is split by shard edge count: the algorithm
+    /// sweeps every edge per iteration, so a shard's edge share is its read
+    /// share.
+    Edges,
+}
+
+/// Run one execution unit of `members` queries: `body` computes one response
+/// per member and the shares its traffic is split by, under an outer meter
+/// scope and, with [`ShardSplit::Scopes`] on more than one shard, one scope
+/// per shard (the hook it receives; on one shard the hook runs work on the
+/// outer scope). Times the run, contains a panic, and splits the scopes
+/// word-exactly: for every member `traffic == residual + Σ_s per_shard[s]`,
+/// and summed over members every scoped word is accounted for.
+///
+/// If `body` panics, every member gets [`Response::Failed`] with an empty
+/// `per_shard`, and whatever the run metered before dying is split evenly,
+/// so nothing leaks out of the per-query accounting.
+fn run_unit<G: Sharded>(
+    g: &G,
+    members: usize,
+    split: ShardSplit,
+    body: impl FnOnce(&MeterShardScopes<'_>) -> (Vec<Response>, Vec<u64>),
+) -> Vec<BatchOutcome> {
+    let sharded = g.num_shards() > 1;
+    let outer = MeterScope::new();
+    let shards: Vec<MeterScope> = if sharded && split == ShardSplit::Scopes {
+        (0..g.num_shards()).map(|_| MeterScope::new()).collect()
+    } else {
+        Vec::new()
+    };
+    let start = Instant::now();
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        outer.enter(|| body(&MeterShardScopes(&shards)))
     }));
     let seconds = start.elapsed().as_secs_f64();
-    match result {
-        Ok(responses) => {
-            // Every member consumed the same labeling: uniform shares.
-            let shares = vec![1u64; members.len()];
-            let splits = split_traffic(scope.snapshot(), &shares);
-            responses
+    let (responses, shares) = match result {
+        Ok(answers) => answers,
+        Err(payload) => {
+            let response = failed_response(payload);
+            let total = shards
+                .iter()
+                .fold(outer.snapshot(), |acc, s| acc.plus(&s.snapshot()));
+            return split_traffic(total, &vec![1; members])
                 .into_iter()
-                .zip(splits)
-                .map(|(response, traffic)| BatchOutcome {
-                    response,
+                .map(|traffic| BatchOutcome {
+                    response: response.clone(),
                     traffic,
                     per_shard: Vec::new(),
                     seconds,
                 })
-                .collect()
+                .collect();
         }
-        Err(payload) => failed_batch(members.len(), scope, seconds, payload),
-    }
+    };
+    debug_assert_eq!(responses.len(), members);
+    let residual = split_traffic(outer.snapshot(), &shares);
+    let shard_splits: Vec<Vec<MeterSnapshot>> = shards
+        .iter()
+        .map(|s| split_traffic(s.snapshot(), &shares))
+        .collect();
+    let edge_shares: Vec<u64> = if sharded && split == ShardSplit::Edges {
+        (0..g.num_shards())
+            .map(|s| g.shard(s).num_edges() as u64)
+            .collect()
+    } else {
+        Vec::new()
+    };
+    responses
+        .into_iter()
+        .zip(residual)
+        .enumerate()
+        .map(|(i, (response, residual))| {
+            let scoped: Vec<MeterSnapshot> = shard_splits.iter().map(|ss| ss[i]).collect();
+            let traffic = scoped.iter().fold(residual, |acc, p| acc.plus(p));
+            let per_shard = if edge_shares.is_empty() {
+                scoped
+            } else {
+                split_traffic(traffic, &edge_shares)
+            };
+            BatchOutcome {
+                response,
+                traffic,
+                per_shard,
+                seconds,
+            }
+        })
+        .collect()
 }
 
-/// The report vertex sets of an analytics batch, in member order (the
-/// shares a shared analytics run is split by: a member's cost of *consuming*
-/// the shared result scales with how much of it it reads back).
-fn report_sets(members: &[Pending]) -> Vec<Vec<sage_graph::V>> {
+/// One neighborhood probe: each hop's adjacency reads run under the owning
+/// shard's hook; the gathered output (sorted, deduplicated) is order-
+/// independent, hence the same whatever the shard count.
+fn neighborhood<G: Sharded>(g: &G, src: V, hops: u8, hook: &MeterShardScopes<'_>) -> Response {
+    let mut out: Vec<V> = Vec::new();
+    let mut frontier: Vec<V> = Vec::new();
+    hook.run(g.shard_of(src), || {
+        g.for_each_edge(src, |d, _| {
+            out.push(d);
+            frontier.push(d);
+        });
+    });
+    if hops == 2 {
+        // Scatter the second hop by owner so each shard's reads run under
+        // its own scope; the sort below erases visit order.
+        let mut by_shard: Vec<Vec<V>> = vec![Vec::new(); g.num_shards()];
+        for &u in &frontier {
+            by_shard[g.shard_of(u)].push(u);
+        }
+        for (s, vs) in by_shard.iter().enumerate() {
+            hook.run(s, || {
+                for &u in vs {
+                    g.for_each_edge(u, |d, _| out.push(d));
+                }
+            });
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    out.retain(|&v| v != src);
+    meter::aux_write(out.len() as u64);
+    Response::Neighborhood { vertices: out }
+}
+
+/// The report vertex sets of an analytics batch, in member order.
+fn report_sets(members: &[Pending]) -> Vec<Vec<V>> {
     members
         .iter()
         .map(|p| match p.query() {
@@ -237,132 +373,28 @@ fn report_sets(members: &[Pending]) -> Vec<Vec<sage_graph::V>> {
         .collect()
 }
 
-/// Same-parameter PageRank requests answered by **one** shared power-method
-/// run ([`algo::pagerank::pagerank_multi`]). Responses are bitwise-identical
-/// to unbatched execution: both paths run the same deterministic iteration
-/// with the same `(eps, iters, damping)` and read ranks off the converged
-/// vector.
-fn run_pagerank_batch<G: Graph>(
-    g: &G,
-    members: &[Pending],
-    iters: usize,
-    damping: f64,
-) -> Vec<BatchOutcome> {
-    let requests = report_sets(members);
-    let scope = MeterScope::new();
-    let start = std::time::Instant::now();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        scope.enter(|| {
-            let multi = algo::pagerank::pagerank_multi(
-                g,
-                crate::query::PAGERANK_EPS,
-                iters,
-                damping,
-                &requests,
-            );
-            // Unbatched parity: one aux read per reported vertex per member.
-            for req in &requests {
-                meter::aux_read(req.len() as u64);
-            }
-            multi
+/// Charge an analytics unit's report reads — one aux word per reported
+/// vertex per member — and return the shares its traffic is split by: a
+/// member's cost of *consuming* the shared result scales with how much of it
+/// it reads back.
+fn charge_reports(requests: &[Vec<V>]) -> Vec<u64> {
+    requests
+        .iter()
+        .map(|req| {
+            meter::aux_read(req.len() as u64);
+            req.len() as u64
         })
-    }));
-    let seconds = start.elapsed().as_secs_f64();
-    match result {
-        Ok(multi) => {
-            let shares: Vec<u64> = requests.iter().map(|r| (r.len() as u64).max(1)).collect();
-            let splits = split_traffic(scope.snapshot(), &shares);
-            multi
-                .reports
-                .into_iter()
-                .zip(splits)
-                .map(|(ranks, traffic)| BatchOutcome {
-                    response: Response::PageRank {
-                        ranks,
-                        iterations: multi.iterations,
-                    },
-                    traffic,
-                    per_shard: Vec::new(),
-                    seconds,
-                })
-                .collect()
-        }
-        Err(payload) => failed_batch(members.len(), scope, seconds, payload),
-    }
-}
-
-/// Same-threshold k-core requests answered by **one** shared (possibly
-/// truncated) peel ([`algo::kcore::kcore_multi`]). Responses are
-/// bitwise-identical to unbatched execution — the same peel produces the
-/// same coreness array either way.
-fn run_kcore_batch<G: Graph>(g: &G, members: &[Pending], k: Option<u32>) -> Vec<BatchOutcome> {
-    let requests = report_sets(members);
-    let scope = MeterScope::new();
-    let start = std::time::Instant::now();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        scope.enter(|| {
-            let multi = algo::kcore::kcore_multi(g, k, &requests);
-            // Unbatched parity: one aux read per reported vertex per member.
-            for req in &requests {
-                meter::aux_read(req.len() as u64);
-            }
-            multi
-        })
-    }));
-    let seconds = start.elapsed().as_secs_f64();
-    match result {
-        Ok(multi) => {
-            let shares: Vec<u64> = requests.iter().map(|r| (r.len() as u64).max(1)).collect();
-            let splits = split_traffic(scope.snapshot(), &shares);
-            multi
-                .reports
-                .into_iter()
-                .zip(splits)
-                .map(|(coreness, traffic)| BatchOutcome {
-                    response: Response::KCore {
-                        coreness,
-                        kmax: multi.kmax,
-                    },
-                    traffic,
-                    per_shard: Vec::new(),
-                    seconds,
-                })
-                .collect()
-        }
-        Err(payload) => failed_batch(members.len(), scope, seconds, payload),
-    }
+        .collect()
 }
 
 /// Best-effort stringification of a panic payload into a `Failed` response.
-pub(crate) fn failed_response(payload: Box<dyn std::any::Any + Send>) -> Response {
+fn failed_response(payload: Box<dyn std::any::Any + Send>) -> Response {
     let reason = payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "query panicked".to_string());
     Response::Failed { reason }
-}
-
-/// A shared run panicked: every member fails, and whatever traffic the run
-/// accrued before dying is still split (evenly) so nothing leaks out of the
-/// per-query accounting.
-fn failed_batch(
-    len: usize,
-    scope: MeterScope,
-    seconds: f64,
-    payload: Box<dyn std::any::Any + Send>,
-) -> Vec<BatchOutcome> {
-    let response = failed_response(payload);
-    let splits = split_traffic(scope.snapshot(), &vec![1u64; len]);
-    splits
-        .into_iter()
-        .map(|traffic| BatchOutcome {
-            response: response.clone(),
-            traffic,
-            per_shard: Vec::new(),
-            seconds,
-        })
-        .collect()
 }
 
 /// Split `total` across members proportionally to `shares`, word-exactly:
@@ -463,6 +495,51 @@ mod tests {
             let parts = split_traffic(total, &shares);
             assert_eq!(parts.len(), shares.len());
             assert_eq!(sum(&parts), total, "shares {shares:?}");
+        }
+    }
+
+    /// A unit whose body charges known words — some on the outer scope, some
+    /// under shard hooks — and then panics: every member fails, no member
+    /// carries a per-shard breakdown, and member traffic still sums to every
+    /// word the body charged.
+    #[test]
+    fn run_unit_conserves_words_on_a_panic() {
+        use sage_graph::{gen, ShardedCsr};
+        let csr = gen::rmat(8, 8, gen::RmatParams::default(), 5);
+        let sharded = ShardedCsr::from_csr(&csr, 3);
+        assert_eq!(sharded.num_shards(), 3);
+        fn panicking_unit<G: Sharded>(g: &G) -> Vec<BatchOutcome> {
+            run_unit(g, 4, ShardSplit::Scopes, |hook| {
+                meter::graph_read(1000);
+                meter::aux_write(7);
+                for s in 0..g.num_shards() {
+                    hook.run(s, || meter::aux_read(10 + s as u64));
+                }
+                panic!("injected unit panic");
+            })
+        }
+        for (outcomes, shards) in [(panicking_unit(&csr), 1u64), (panicking_unit(&sharded), 3)] {
+            assert_eq!(outcomes.len(), 4);
+            for o in &outcomes {
+                assert!(
+                    matches!(&o.response, Response::Failed { reason } if reason == "injected unit panic"),
+                    "{:?}",
+                    o.response
+                );
+                assert!(o.per_shard.is_empty());
+            }
+            let total = sum(&outcomes.iter().map(|o| o.traffic).collect::<Vec<_>>());
+            let shard_reads: u64 = (0..shards).map(|s| 10 + s).sum();
+            assert_eq!(
+                total,
+                MeterSnapshot {
+                    graph_read: 1000,
+                    graph_write: 0,
+                    aux_read: shard_reads,
+                    aux_write: 7,
+                },
+                "{shards} shard(s)"
+            );
         }
     }
 

@@ -9,8 +9,9 @@
 //! engine's scoped-runtime substrate:
 //!
 //! * [`GraphService`] — owns the graph (typically an `NvRegion`-backed,
-//!   `PROT_READ`-mapped [`sage_graph::Csr`]), a bounded MPMC request queue,
-//!   and a pool of serving workers;
+//!   `PROT_READ`-mapped [`sage_graph::Csr`], or a partitioned
+//!   [`ShardedCsr`] — a monolithic graph is the one-shard case of the same
+//!   service), a bounded MPMC request queue, and a pool of serving workers;
 //! * [`Query`]/[`Response`] — the typed request surface (BFS, PageRank over
 //!   a vertex subset, k-core, connectivity membership, 1/2-hop
 //!   neighborhoods);
@@ -23,11 +24,12 @@
 //!   and linger, and incompatible requests keep their FIFO positions);
 //! * admission control — each execution unit reserves its estimated `O(n)`
 //!   DRAM from a shared [`admission::dram_estimate`]/
-//!   [`admission::batch_estimate`]-based budget before running, so
+//!   [`admission::batch_estimate_for`]-based budget before running, so
 //!   aggregate small-memory use stays bounded no matter the offered load
 //!   (a batch reserves one set of shared state, not one per member);
 //! * per-query attribution — every execution unit runs under its own
-//!   [`sage_nvram::MeterScope`] and a per-worker [`sage_core::QueryArena`];
+//!   [`sage_nvram::MeterScope`] (plus one per shard on a partitioned
+//!   snapshot) and a per-worker [`sage_core::QueryArena`];
 //!   a shared batch run's traffic is split back across members by
 //!   touched-word shares, word-exactly, so results carry a
 //!   [`MeterSnapshot`](sage_nvram::MeterSnapshot) (zero `graph_write`
@@ -67,23 +69,19 @@ pub mod batch;
 pub mod cache;
 mod query;
 pub mod queue;
-pub mod sharded;
 pub mod snapshot;
 
-pub use admission::{
-    batch_estimate, batch_estimate_for, dram_estimate, dram_estimate_for, CostKind, MeasuredCost,
-};
+pub use admission::{batch_estimate_for, dram_estimate, dram_estimate_for, CostKind, MeasuredCost};
 pub use batch::QueryBatch;
 pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use query::{BatchClass, Priority, Query, QueryResult, Response, DEFAULT_DAMPING};
 pub use queue::{BatchPolicy, SchedCounters, SchedPolicy, Ticket};
-pub use sharded::ShardedService;
 pub use snapshot::{PublishError, PublishReport, Publishable, ServiceBuilder, Snapshot};
 
 use admission::DramBudget;
 use queue::{Pending, RequestQueue};
 use sage_core::{DeltaOverlay, QueryArena};
-use sage_graph::Graph;
+use sage_graph::{Sharded, ShardedCsr};
 use sage_nvram::{meter, MeterScope, WriteBudget};
 use snapshot::SnapshotCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -273,26 +271,9 @@ impl StatsInner {
     }
 }
 
-/// The execution back end a service routes batches to. One implementation
-/// serves a monolithic snapshot ([`GraphService`]), another scatter-gathers
-/// over a partitioned one ([`ShardedService`]); the queue, admission,
-/// worker, and attribution machinery in [`ServiceCore`] is shared verbatim.
-pub(crate) trait Engine: Send + Sync + 'static {
-    /// Vertex count of the *current* snapshot (query validation bound).
-    fn num_vertices(&self) -> usize;
-    /// The epoch the engine is currently serving.
-    fn current_epoch(&self) -> u64;
-    /// DRAM bytes one execution unit of `batch` should reserve.
-    fn estimate(&self, batch: &QueryBatch) -> u64;
-    /// Execute every member of `batch`, one outcome per member, in order,
-    /// against **one** snapshot version loaded at unit start; returns the
-    /// epoch of that snapshot so results and cache keys tag the graph that
-    /// actually answered them (a publish mid-run never mixes epochs).
-    fn run(&self, batch: &QueryBatch) -> (u64, Vec<batch::BatchOutcome>);
-}
-
-struct Shared<E> {
-    engine: E,
+struct Shared<G> {
+    /// The swap point of the served snapshot.
+    cell: SnapshotCell<G>,
     queue: RequestQueue,
     budget: DramBudget,
     stats: StatsInner,
@@ -308,18 +289,37 @@ struct Shared<E> {
     publish_budget: WriteBudget,
 }
 
-/// Engine-generic service chassis: bounded queue, FIFO DRAM admission,
-/// serving workers, ticket fulfillment. [`GraphService`] and
-/// [`ShardedService`] are thin typed fronts over this.
-pub(crate) struct ServiceCore<E: Engine> {
-    shared: Arc<Shared<E>>,
+/// A concurrent query service over one shared graph snapshot.
+///
+/// Load the graph once (ideally via `sage_graph::io::load_csr` with
+/// `Placement::Nvram`, so it is physically read-only), start the service via
+/// [`ServiceBuilder`], then submit typed queries from any number of client
+/// threads. Dropping the service closes the queue, drains every accepted
+/// request, and joins the workers.
+///
+/// The snapshot may be partitioned ([`ShardedCsr`],
+/// served as [`ShardedService`]): execution units then scatter to the owning
+/// shards and every result carries a per-shard traffic breakdown
+/// ([`QueryResult::per_shard`]). A monolithic graph is the one-shard case of
+/// the same service, and answers are bitwise-identical either way.
+///
+/// The served snapshot is **live-updatable**: [`GraphService::publish`]
+/// atomically swaps in a prepared [`Snapshot`] (advancing the epoch and
+/// invalidating cached results), and [`GraphService::publish_updates`] runs
+/// the whole ingestion pipeline — overlay → compact → budgeted NVRAM flush →
+/// reload → swap. Queries in flight keep the snapshot they started on.
+pub struct GraphService<G: Sharded + Send + Sync + 'static> {
+    shared: Arc<Shared<G>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     next_id: AtomicU64,
 }
 
-impl<E: Engine> ServiceCore<E> {
-    pub(crate) fn start(engine: E, config: ServiceConfig) -> Self {
-        let n = engine.num_vertices();
+/// The service over a partitioned snapshot.
+pub type ShardedService = GraphService<ShardedCsr>;
+
+impl<G: Sharded + Send + Sync + 'static> GraphService<G> {
+    pub(crate) fn start(snapshot: Snapshot<G>, config: ServiceConfig) -> Self {
+        let n = snapshot.num_vertices();
         let budget_bytes = if config.dram_budget_bytes == 0 {
             4 * admission::max_estimate(n)
         } else {
@@ -331,7 +331,7 @@ impl<E: Engine> ServiceCore<E> {
             config.queue_capacity
         };
         let shared = Arc::new(Shared {
-            engine,
+            cell: SnapshotCell::new(snapshot.into_arc()),
             queue: RequestQueue::new(queue_capacity),
             budget: DramBudget::new(budget_bytes),
             stats: StatsInner::default(),
@@ -365,22 +365,50 @@ impl<E: Engine> ServiceCore<E> {
         }
     }
 
-    pub(crate) fn engine(&self) -> &E {
-        &self.shared.engine
+    /// A clonable guard over the currently served snapshot (graph + epoch).
+    /// Sound against concurrent publishes: the guard keeps its version of
+    /// the graph alive, unlike the old `graph(&self) -> &G` borrow.
+    pub fn snapshot(&self) -> Snapshot<G> {
+        let v = self.shared.cell.load();
+        Snapshot::from_parts(Arc::clone(&v.graph), v.epoch)
     }
 
-    pub(crate) fn dram_budget_bytes(&self) -> u64 {
+    /// Atomically install `snapshot` as the next epoch. Queries already
+    /// running keep the old snapshot (and their results stay tagged with its
+    /// epoch); cached results from older epochs are invalidated. Returns the
+    /// new epoch.
+    pub fn publish(&self, snapshot: Snapshot<G>) -> u64 {
+        self.install(snapshot.into_arc())
+    }
+
+    /// Swap `graph` in as the next epoch, count the publish and eagerly
+    /// invalidate cached results minted under older epochs.
+    fn install(&self, graph: Arc<G>) -> u64 {
+        let epoch = self.shared.cell.swap(graph);
+        self.shared.stats.publishes.fetch_add(1, Ordering::Relaxed);
+        if let Some(cache) = &self.shared.cache {
+            cache.retain_epoch(epoch);
+        }
+        epoch
+    }
+
+    /// Total admitted-DRAM budget in bytes.
+    pub fn dram_budget_bytes(&self) -> u64 {
         self.shared.budget.capacity()
     }
 
-    pub(crate) fn submit(&self, query: Query) -> Ticket {
-        query.validate(self.shared.engine.num_vertices());
+    /// Enqueue `query`; blocks only if the request queue is full. The
+    /// returned [`Ticket`] redeems the result.
+    ///
+    /// # Panics
+    /// Panics if the query references out-of-range vertices.
+    pub fn submit(&self, query: Query) -> Ticket {
+        query.validate(self.shared.cell.load().graph.num_vertices());
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         // Cache lookup on the submitting thread: a hit never touches the
         // queue, the budget, or the engine.
         if let Some(cache) = &self.shared.cache {
-            let epoch = self.shared.engine.current_epoch();
-            let key = CacheKey::new(&query, epoch);
+            let key = CacheKey::new(&query, self.epoch());
             if let Some(response) = cache.get(&key) {
                 let pr = query.priority();
                 // Meter the hit under its own scope so the result's traffic
@@ -408,7 +436,13 @@ impl<E: Engine> ServiceCore<E> {
         ticket
     }
 
-    pub(crate) fn stats(&self) -> ServiceStats {
+    /// Convenience: submit and wait.
+    pub fn query(&self, query: Query) -> QueryResult {
+        self.submit(query).wait()
+    }
+
+    /// Current serving statistics.
+    pub fn stats(&self) -> ServiceStats {
         let s = &self.shared.stats;
         let sched = self.shared.queue.sched_counters();
         // Relaxed loads: a stats poll is a point-in-time approximation by
@@ -432,153 +466,28 @@ impl<E: Engine> ServiceCore<E> {
             completed_analytics: s.completed_by_class[Priority::Analytics.index()]
                 .load(Ordering::Relaxed),
             publishes: s.publishes.load(Ordering::Relaxed),
-            epoch: self.shared.engine.current_epoch(),
+            epoch: self.epoch(),
         }
-    }
-
-    /// Current snapshot epoch (part of every cache key).
-    pub(crate) fn epoch(&self) -> u64 {
-        self.shared.engine.current_epoch()
-    }
-
-    /// The bookkeeping half of every publish (after the engine's snapshot
-    /// cell has swapped to `new_epoch`): count it and eagerly invalidate
-    /// cached results minted under older epochs. Returns `new_epoch`.
-    pub(crate) fn note_publish(&self, new_epoch: u64) -> u64 {
-        self.shared.stats.publishes.fetch_add(1, Ordering::Relaxed);
-        if let Some(cache) = &self.shared.cache {
-            cache.retain_epoch(new_epoch);
-        }
-        new_epoch
-    }
-
-    /// Per-publish NVRAM write cap.
-    pub(crate) fn publish_budget(&self) -> WriteBudget {
-        self.shared.publish_budget
-    }
-
-    /// Result-cache statistics, if a cache is configured.
-    pub(crate) fn cache_stats(&self) -> Option<CacheStats> {
-        self.shared.cache.as_ref().map(|c| c.stats())
-    }
-}
-
-impl<E: Engine> Drop for ServiceCore<E> {
-    fn drop(&mut self) {
-        self.shared.queue.close();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The monolithic engine: one swappable snapshot, the classic `run_batch`
-/// execution. Each execution unit loads the current version once, so the
-/// epoch it reports and the graph it ran on always agree.
-struct MonoEngine<G> {
-    cell: SnapshotCell<G>,
-}
-
-impl<G: Graph + Send + Sync + 'static> Engine for MonoEngine<G> {
-    fn num_vertices(&self) -> usize {
-        self.cell.load().graph.num_vertices()
-    }
-
-    fn current_epoch(&self) -> u64 {
-        self.cell.epoch()
-    }
-
-    fn estimate(&self, batch: &QueryBatch) -> u64 {
-        // Representation-aware: compressed snapshots add a decode-scratch
-        // surcharge derived from `Graph::size_bytes`.
-        admission::batch_estimate_for(&*self.cell.load().graph, batch)
-    }
-
-    fn run(&self, batch: &QueryBatch) -> (u64, Vec<batch::BatchOutcome>) {
-        let v = self.cell.load();
-        (v.epoch, batch::run_batch(&*v.graph, batch))
-    }
-}
-
-/// A concurrent query service over one shared graph snapshot.
-///
-/// Load the graph once (ideally via `sage_graph::io::load_csr` with
-/// `Placement::Nvram`, so it is physically read-only), start the service via
-/// [`ServiceBuilder`], then submit typed queries from any number of client
-/// threads. Dropping the service closes the queue, drains every accepted
-/// request, and joins the workers.
-///
-/// The served snapshot is **live-updatable**: [`GraphService::publish`]
-/// atomically swaps in a prepared [`Snapshot`] (advancing the epoch and
-/// invalidating cached results), and [`GraphService::publish_updates`] runs
-/// the whole ingestion pipeline — overlay → compact → budgeted NVRAM flush →
-/// reload → swap. Queries in flight keep the snapshot they started on.
-pub struct GraphService<G: Graph + Send + Sync + 'static> {
-    core: ServiceCore<MonoEngine<G>>,
-}
-
-impl<G: Graph + Send + Sync + 'static> GraphService<G> {
-    pub(crate) fn from_snapshot(snapshot: Snapshot<G>, config: ServiceConfig) -> Self {
-        Self {
-            core: ServiceCore::start(
-                MonoEngine {
-                    cell: SnapshotCell::new(snapshot.into_arc()),
-                },
-                config,
-            ),
-        }
-    }
-
-    /// A clonable guard over the currently served snapshot (graph + epoch).
-    /// Sound against concurrent publishes: the guard keeps its version of
-    /// the graph alive, unlike the old `graph(&self) -> &G` borrow.
-    pub fn snapshot(&self) -> Snapshot<G> {
-        let v = self.core.engine().cell.load();
-        Snapshot::from_parts(Arc::clone(&v.graph), v.epoch)
-    }
-
-    /// Atomically install `snapshot` as the next epoch. Queries already
-    /// running keep the old snapshot (and their results stay tagged with its
-    /// epoch); cached results from older epochs are invalidated. Returns the
-    /// new epoch.
-    pub fn publish(&self, snapshot: Snapshot<G>) -> u64 {
-        let epoch = self.core.engine().cell.swap(snapshot.into_arc());
-        self.core.note_publish(epoch)
-    }
-
-    /// Total admitted-DRAM budget in bytes.
-    pub fn dram_budget_bytes(&self) -> u64 {
-        self.core.dram_budget_bytes()
-    }
-
-    /// Enqueue `query`; blocks only if the request queue is full. The
-    /// returned [`Ticket`] redeems the result.
-    ///
-    /// # Panics
-    /// Panics if the query references out-of-range vertices.
-    pub fn submit(&self, query: Query) -> Ticket {
-        self.core.submit(query)
-    }
-
-    /// Convenience: submit and wait.
-    pub fn query(&self, query: Query) -> QueryResult {
-        self.submit(query).wait()
-    }
-
-    /// Current serving statistics.
-    pub fn stats(&self) -> ServiceStats {
-        self.core.stats()
     }
 
     /// Current snapshot epoch (tags every fresh result and result-cache key).
     pub fn epoch(&self) -> u64 {
-        self.core.epoch()
+        self.shared.cell.epoch()
     }
 
     /// Result-cache statistics, if the service was configured with a cache
     /// (`cache_bytes > 0`).
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.core.cache_stats()
+        self.shared.cache.as_ref().map(|c| c.stats())
+    }
+}
+
+impl<G: Sharded + Send + Sync + 'static> Drop for GraphService<G> {
+    fn drop(&mut self) {
+        self.shared.queue.close();
+        for h in self.workers.drain(..) {
+            let _ = h.join();
+        }
     }
 }
 
@@ -588,7 +497,8 @@ impl<G: Publishable> GraphService<G> {
     /// 1. layer a [`DeltaOverlay`] over the current snapshot and apply
     ///    `updates` (DRAM-only; readers never see the overlay);
     /// 2. compact base + delta into a fresh CSR and rebuild this service's
-    ///    representation from it, still in DRAM;
+    ///    representation from it (same encoding and shard count), still in
+    ///    DRAM;
     /// 3. gate on the configured [write budget](ServiceConfig::publish_budget_words)
     ///    — a refused publish writes **nothing** — then flush to `path`,
     ///    metering the exact flushed words as `graph_write` under the
@@ -607,8 +517,8 @@ impl<G: Publishable> GraphService<G> {
         path: &std::path::Path,
     ) -> Result<PublishReport, PublishError> {
         let start = std::time::Instant::now();
-        let current = self.core.engine().cell.load();
-        let budget = self.core.publish_budget();
+        let current = self.shared.cell.load();
+        let budget = self.shared.publish_budget;
         let scope = MeterScope::new();
         let (served, words) = scope.enter(|| -> Result<(G, u64), PublishError> {
             let mut overlay = DeltaOverlay::new(Arc::clone(&current.graph));
@@ -620,8 +530,7 @@ impl<G: Publishable> GraphService<G> {
             sage_nvram::charge_publish_write(words);
             Ok((G::reload(path)?, words))
         })?;
-        let epoch = self.core.engine().cell.swap(Arc::new(served));
-        self.core.note_publish(epoch);
+        let epoch = self.install(Arc::new(served));
         Ok(PublishReport {
             epoch,
             graph_write: words,
@@ -633,7 +542,7 @@ impl<G: Publishable> GraphService<G> {
 
 /// One serving worker: drain a batch → admit → execute under scope(s) +
 /// arena → split attribution → fulfill every member.
-fn worker_loop<E: Engine>(shared: &Shared<E>) {
+fn worker_loop<G: Sharded + Send + Sync + 'static>(shared: &Shared<G>) {
     // The arena is per *worker*, reused across that worker's batches:
     // scratch (chunks, flag buffers, histogram dense arrays) warms up once
     // and is never shared with a concurrently executing unit.
@@ -653,7 +562,7 @@ fn worker_loop<E: Engine>(shared: &Shared<E>) {
     {
         let members = batch.len() as u64;
         let kind = CostKind::of(batch.class());
-        let apriori = shared.engine.estimate(&batch);
+        let apriori = admission::batch_estimate_for(&*shared.cell.load().graph, &batch);
         // Measured admission: the learned per-member cost prices the unit,
         // clamped by the a-priori bound (never above it, never below the
         // floor). A-priori only while the class is unobserved or disabled.
@@ -664,17 +573,19 @@ fn worker_loop<E: Engine>(shared: &Shared<E>) {
         };
         let grant = shared.budget.acquire(estimate);
         shared.stats.on_admit(members, grant);
-        // Engine panics are contained inside the engine's `run` (per
-        // execution unit), so the worker survives and no ticket is ever
-        // stranded. Each outcome carries the wall time of the engine run
-        // that answered it (the member's own run, or the shared
-        // traversal/labeling) — not the whole batch's sequential wall clock.
-        // The engine also reports the epoch of the snapshot version it
-        // loaded for this unit, so cached results and result tags always
-        // name the graph that actually answered: if a publish lands mid-run,
-        // the stale-keyed insert can never be returned to a post-publish
-        // lookup.
-        let (epoch, outcomes) = arena.enter(|| shared.engine.run(&batch));
+        // Engine panics are contained per execution unit (`run_unit`), so
+        // the worker survives and no ticket is ever stranded. Each outcome
+        // carries the wall time of the engine run that answered it (the
+        // member's own run, or the shared traversal/labeling) — not the
+        // whole batch's sequential wall clock. The unit loads the current
+        // version once, so the graph it runs on and the epoch its results
+        // and cache keys are tagged with always agree: if a publish lands
+        // mid-run, the stale-keyed insert can never be returned to a
+        // post-publish lookup.
+        let (epoch, outcomes) = {
+            let v = shared.cell.load();
+            (v.epoch, arena.enter(|| batch::run_batch(&*v.graph, &batch)))
+        };
         shared.stats.on_finish(members, grant);
         shared.budget.release(grant);
         debug_assert_eq!(outcomes.len(), batch.len());

@@ -1,8 +1,8 @@
 //! Typed query requests and responses served by [`crate::GraphService`].
 
 use sage_core::algo;
-use sage_graph::{Graph, V};
-use sage_nvram::{meter, MeterSnapshot};
+use sage_graph::V;
+use sage_nvram::MeterSnapshot;
 
 /// Fixed tolerance for the PageRank power iteration; the iteration budget
 /// and the damping factor are the client-visible knobs.
@@ -287,12 +287,12 @@ pub struct QueryResult {
     /// Per-query traffic from the worker's [`sage_nvram::MeterScope`] —
     /// independent of every other in-flight query and of `Meter::reset`.
     pub traffic: MeterSnapshot,
-    /// Per-shard breakdown of `traffic` when the query was served by a
-    /// sharded snapshot (`per_shard[s]` is the share of this query's traffic
-    /// attributed to shard `s`'s meter scope; summed over shards it never
-    /// exceeds `traffic`, the difference being residual work — seeding,
-    /// handoff, gather — done outside any shard). Empty for monolithic
-    /// services and for failed executions.
+    /// Per-shard breakdown of `traffic` when the snapshot has more than one
+    /// shard (`per_shard[s]` is the share of this query's traffic attributed
+    /// to shard `s`; summed over shards it never exceeds `traffic`, the
+    /// difference being residual work — seeding, handoff, gather — done
+    /// outside any shard). Empty on a one-shard snapshot (a monolithic graph
+    /// is one shard), for cache hits and for failed executions.
     pub per_shard: Vec<MeterSnapshot>,
     /// Wall-clock seconds of the engine run that answered this query
     /// (excluding queue wait): the query's own run when it executed in
@@ -304,73 +304,4 @@ pub struct QueryResult {
     /// actually ran on, so clients can tell exactly which graph version
     /// their answer reflects.
     pub epoch: u64,
-}
-
-/// Execute `query` against `g`. Pure: all service machinery (metering,
-/// arenas, admission) wraps around this.
-pub(crate) fn run_query<G: Graph>(g: &G, query: &Query) -> Response {
-    match query {
-        Query::Bfs { src } => {
-            let (levels, _rounds) = algo::bfs::bfs_levels(g, *src);
-            let reached = levels.iter().filter(|&&l| l != u64::MAX).count();
-            meter::aux_read(levels.len() as u64);
-            Response::Bfs { levels, reached }
-        }
-        Query::PageRank {
-            iters,
-            damping,
-            vertices,
-        } => {
-            let pr = algo::pagerank::pagerank_damped(g, PAGERANK_EPS, *iters, *damping);
-            let ranks = vertices
-                .iter()
-                .map(|&v| (v, pr.ranks[v as usize]))
-                .collect();
-            meter::aux_read(vertices.len() as u64);
-            Response::PageRank {
-                ranks,
-                iterations: pr.iterations,
-            }
-        }
-        Query::KCore { k, vertices } => {
-            let kc = algo::kcore::kcore_bounded(g, *k);
-            let coreness = vertices
-                .iter()
-                .map(|&v| (v, kc.coreness[v as usize]))
-                .collect();
-            meter::aux_read(vertices.len() as u64);
-            Response::KCore {
-                coreness,
-                kmax: kc.kmax,
-            }
-        }
-        Query::Connected { u, v } => {
-            let labels = algo::connectivity::connectivity(g, 0.2, QUERY_SEED);
-            let connected = labels[*u as usize] == labels[*v as usize];
-            let components = algo::connectivity::num_components(&labels);
-            meter::aux_read(2);
-            Response::Connected {
-                connected,
-                components,
-            }
-        }
-        Query::Neighborhood { src, hops } => {
-            let mut out: Vec<V> = Vec::new();
-            let mut frontier: Vec<V> = Vec::new();
-            g.for_each_edge(*src, |d, _| {
-                out.push(d);
-                frontier.push(d);
-            });
-            if *hops == 2 {
-                for &u in &frontier {
-                    g.for_each_edge(u, |d, _| out.push(d));
-                }
-            }
-            out.sort_unstable();
-            out.dedup();
-            out.retain(|&v| v != *src);
-            meter::aux_write(out.len() as u64);
-            Response::Neighborhood { vertices: out }
-        }
-    }
 }

@@ -12,18 +12,15 @@
 //! * [`Snapshot`] — a clonable guard over the served graph (the sound
 //!   replacement for the old `GraphService::graph(&self) -> &G` borrow,
 //!   which could dangle across a snapshot swap);
-//! * [`ServiceBuilder`] — the one construction surface shared by
-//!   [`GraphService`] and
-//!   [`ShardedService`], wrapping
-//!   [`ServiceConfig`] and its presets;
+//! * [`ServiceBuilder`] — the construction surface of [`GraphService`],
+//!   wrapping [`ServiceConfig`] and its presets;
 //! * [`Publishable`] — the per-representation half of the publish pipeline:
 //!   rebuild from a compacted CSR, exact flush-word accounting, NVRAM flush
 //!   and reload. [`GraphService::publish_updates`](crate::GraphService::publish_updates)
 //!   drives it end to end: overlay → compact → budget gate → metered flush →
 //!   reload → atomic swap → epoch advance.
 
-use crate::sharded::ShardedService;
-use crate::{GraphService, ServiceConfig};
+use crate::{GraphService, ServiceConfig, ShardedService};
 use parking_lot::Mutex;
 use sage_graph::io::{self, Placement};
 use sage_graph::{CompressedCsr, Csr, Graph, ShardRepr, Sharded, ShardedCsr};
@@ -136,11 +133,11 @@ impl<G> SnapshotCell<G> {
     }
 }
 
-/// The one construction surface for both service fronts: wraps a
-/// [`ServiceConfig`] (including the [`interactive`](ServiceBuilder::interactive)
-/// and [`throughput`](ServiceBuilder::throughput) presets) and starts a
-/// [`GraphService`] over any [`Graph`] or a [`ShardedService`] over a
-/// [`ShardedCsr`].
+/// The construction surface of the service: wraps a [`ServiceConfig`]
+/// (including the [`interactive`](ServiceBuilder::interactive) and
+/// [`throughput`](ServiceBuilder::throughput) presets) and starts a
+/// [`GraphService`] over any [`Sharded`] graph — a monolithic [`Csr`] or
+/// [`CompressedCsr`] as the one-shard case, or a partitioned [`ShardedCsr`].
 ///
 /// ```
 /// use sage_serve::{Query, ServiceBuilder};
@@ -247,16 +244,16 @@ impl ServiceBuilder {
 
     /// Start a [`GraphService`] serving `snapshot` (a bare graph converts
     /// via [`Snapshot::new`]).
-    pub fn start<G: Graph + Send + Sync + 'static>(
+    pub fn start<G: Sharded + Send + Sync + 'static>(
         self,
         snapshot: impl Into<Snapshot<G>>,
     ) -> GraphService<G> {
-        GraphService::from_snapshot(snapshot.into(), self.config)
+        GraphService::start(snapshot.into(), self.config)
     }
 
-    /// Start a [`ShardedService`] serving the partitioned `snapshot`.
+    /// [`start`](ServiceBuilder::start) over a partitioned `snapshot`.
     pub fn start_sharded(self, snapshot: impl Into<Snapshot<ShardedCsr>>) -> ShardedService {
-        ShardedService::from_snapshot(snapshot.into(), self.config)
+        self.start(snapshot)
     }
 }
 
@@ -315,7 +312,7 @@ pub struct PublishReport {
 /// the per-representation third of `publish_updates`. `rebuild` preserves
 /// the receiver's own parameters (block size, hybrid cutoff, shard count),
 /// so a service keeps its representation across publishes.
-pub trait Publishable: Graph + Send + Sync + Sized + 'static {
+pub trait Publishable: Sharded + Send + Sync + Sized + 'static {
     /// Rebuild this representation from a compacted plain CSR, preserving
     /// the receiver's encoding/partition parameters.
     fn rebuild(&self, compacted: Csr) -> Self;

@@ -3,7 +3,7 @@
 //! traffic attribution, and a concurrent-clients stress run.
 
 use sage_core::algo;
-use sage_graph::{gen, Graph, V};
+use sage_graph::{gen, Graph, Sharded, V};
 use sage_nvram::Meter;
 use sage_serve::{BatchPolicy, Query, Response, SchedPolicy, ServiceBuilder};
 use std::sync::Arc;
@@ -334,6 +334,14 @@ impl Graph for PanickyGraph {
     }
     fn edge_at(&self, v: V, i: usize) -> (V, u32) {
         self.0.edge_at(v, i)
+    }
+}
+
+impl Sharded for PanickyGraph {
+    type Shard = Self;
+
+    fn shard(&self, _s: usize) -> &Self {
+        self
     }
 }
 

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use sage::serve::BatchPolicy;
 use sage::{
     build_csr, gen, BuildOptions, CompressedCsr, DeltaOverlay, EdgeList, EdgeUpdate, Graph,
-    PublishError, Query, Response, ServiceBuilder, ShardedCsr, V,
+    PublishError, Query, Response, ServiceBuilder, Sharded, ShardedCsr, V,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -76,7 +76,7 @@ fn query_mix(n: usize) -> Vec<Query> {
 
 /// Serve `queries`, submit-then-redeem, responses in submission order; every
 /// result must be write-free and tagged with the initial epoch.
-fn serve_all<G: Graph + Send + Sync + 'static>(
+fn serve_all<G: Sharded + Send + Sync + 'static>(
     g: G,
     queries: &[Query],
     max_batch: usize,

@@ -186,7 +186,7 @@ fn sharded_connectivity_peak_fits_its_admission_estimate() {
     let mut peaks = Vec::new();
     for ef in [4, 32] {
         let g = ShardedCsr::from_csr(&gen::rmat(13, ef, gen::RmatParams::web(), 5), 4);
-        let bound = sage_serve::admission::sharded_batch_estimate_for(&g, &batch);
+        let bound = sage_serve::batch_estimate_for(&g, &batch);
         let peak = peak_of(|| {
             let _ = connectivity_sharded(&g, &NoHook);
         });

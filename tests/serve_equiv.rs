@@ -12,7 +12,8 @@ use proptest::prelude::*;
 use sage::graph::compressed::HYBRID_DISABLED;
 use sage::serve::{BatchPolicy, SchedPolicy};
 use sage::{
-    build_csr, BuildOptions, CompressedCsr, EdgeList, Graph, Query, Response, ServiceBuilder, V,
+    build_csr, BuildOptions, CompressedCsr, EdgeList, Graph, Query, Response, ServiceBuilder,
+    Sharded, V,
 };
 use std::time::Duration;
 
@@ -63,7 +64,7 @@ fn query_mix(n: usize) -> Vec<Query> {
 /// Serve `queries` over `g` with `builder`'s scheduling policy,
 /// submit-then-redeem (so batches can form), and return the responses in
 /// submission order.
-fn serve_all<G: Graph + Send + Sync + 'static>(
+fn serve_all<G: Sharded + Send + Sync + 'static>(
     g: G,
     queries: &[Query],
     builder: ServiceBuilder,

@@ -1,18 +1,18 @@
 //! Sharding-equivalence property tests for the serving layer: on random
 //! graphs, every [`Query`] variant must produce a *bitwise identical*
-//! [`Response`] whether the snapshot is served monolithically
-//! ([`GraphService`] over one [`Csr`](sage::Csr)) or scatter-gathered
-//! ([`ShardedService`] over a [`ShardedCsr`] of plain or compressed shards),
-//! batched or unbatched, at shard counts 1, 2, and 7. The sharded results
-//! additionally carry a per-shard traffic breakdown whose invariants —
-//! `graph_write == 0`, and per-shard snapshots never summing past the
-//! query's attributed total — are asserted on every served query.
+//! [`Response`] whether the snapshot is one [`Csr`](sage::Csr) or a
+//! [`ShardedCsr`] of plain or compressed shards, started through
+//! `start_sharded` or `start` alike, batched or unbatched, at shard counts
+//! 1, 2, and 7. Results on more than one shard additionally carry one
+//! per-shard traffic breakdown per shard (none on one shard), whose
+//! invariants — `graph_write == 0`, and per-shard snapshots never summing
+//! past the query's attributed total — are asserted on every served query.
 
 use proptest::prelude::*;
 use sage::serve::BatchPolicy;
 use sage::{
-    build_csr, BuildOptions, EdgeList, Graph, MeterSnapshot, Query, QueryResult, Response,
-    ServiceBuilder, ServiceConfig, Sharded, ShardedCsr, V,
+    build_csr, BuildOptions, EdgeList, Graph, GraphService, MeterSnapshot, Query, QueryResult,
+    Response, ServiceBuilder, ServiceConfig, Sharded, ShardedCsr, V,
 };
 use std::time::Duration;
 
@@ -84,36 +84,39 @@ fn config(queries: usize, max_batch: usize) -> ServiceConfig {
     }
 }
 
-/// Serve `queries` over a sharded snapshot, submit-then-redeem (so batches
-/// can form), responses in submission order.
-fn serve_sharded(
-    g: ShardedCsr,
+/// Serve `queries` through `service`, submit-then-redeem (so batches can
+/// form), responses in submission order. Every successful result carries one
+/// per-shard breakdown per shard when the snapshot has more than one shard,
+/// and none when it has one.
+fn serve<G: Sharded + Send + Sync + 'static>(
+    service: GraphService<G>,
     queries: &[Query],
-    max_batch: usize,
 ) -> Result<Vec<Response>, TestCaseError> {
-    let service = ServiceBuilder::from_config(config(queries.len(), max_batch)).start_sharded(g);
+    let shards = service.snapshot().num_shards();
+    let want = if shards > 1 { shards } else { 0 };
     let tickets: Vec<_> = queries.iter().map(|q| service.submit(q.clone())).collect();
     tickets
         .into_iter()
-        .map(|t| check_result(&t.wait()))
+        .map(|t| {
+            let r = t.wait();
+            if !matches!(r.response, Response::Failed { .. }) {
+                prop_assert_eq!(r.per_shard.len(), want, "{:?}", r.response);
+            }
+            check_result(&r)
+        })
         .collect()
 }
 
-/// The (shard count × representation × batching) sharded configurations all
-/// answer the identical query mix bitwise-equal to the monolithic service.
+/// The (shard count × representation × batching × builder entry) sharded
+/// configurations all answer the identical query mix bitwise-equal to the
+/// monolithic service.
 fn check_sharded_equivalence(n: usize, edges: Vec<(V, V)>) -> Result<(), TestCaseError> {
     let csr = || build_csr(EdgeList::new(n, edges.clone()), BuildOptions::default());
     let g = csr();
     let queries = query_mix(g.num_vertices());
+    let builder = |max_batch| ServiceBuilder::from_config(config(queries.len(), max_batch));
 
-    let baseline = {
-        let service = ServiceBuilder::from_config(config(queries.len(), 1)).start(csr());
-        let tickets: Vec<_> = queries.iter().map(|q| service.submit(q.clone())).collect();
-        tickets
-            .into_iter()
-            .map(|t| check_result(&t.wait()))
-            .collect::<Result<Vec<_>, _>>()?
-    };
+    let baseline = serve(builder(1).start(csr()), &queries)?;
 
     for k in [1usize, 2, 7] {
         let plain = || ShardedCsr::from_csr(&g, k);
@@ -121,12 +124,16 @@ fn check_sharded_equivalence(n: usize, edges: Vec<(V, V)>) -> Result<(), TestCas
         let compressed = ShardedCsr::from_csr_compressed(&g, k, 64, 8);
         prop_assert!(plain().num_shards() <= k);
 
-        let unbatched = serve_sharded(plain(), &queries, 1)?;
-        let batched = serve_sharded(plain(), &queries, 32)?;
-        let batched_comp = serve_sharded(compressed, &queries, 32)?;
+        let unbatched = serve(builder(1).start_sharded(plain()), &queries)?;
+        let batched = serve(builder(32).start_sharded(plain()), &queries)?;
+        let batched_comp = serve(builder(32).start_sharded(compressed), &queries)?;
+        let started = serve(builder(1).start(plain()), &queries)?;
+        let started_batched = serve(builder(32).start(plain()), &queries)?;
         prop_assert_eq!(&baseline, &unbatched, "unbatched sharded k={}", k);
         prop_assert_eq!(&baseline, &batched, "batched sharded k={}", k);
         prop_assert_eq!(&baseline, &batched_comp, "compressed sharded k={}", k);
+        prop_assert_eq!(&baseline, &started, "unbatched start k={}", k);
+        prop_assert_eq!(&baseline, &started_batched, "batched start k={}", k);
     }
     Ok(())
 }
