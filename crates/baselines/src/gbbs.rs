@@ -215,7 +215,15 @@ mod tests {
     use super::*;
     use sage_core::seq;
     use sage_graph::gen;
-    use sage_nvram::Meter;
+    use sage_nvram::{MeterScope, MeterSnapshot};
+
+    /// Run `f` under a fresh meter scope: its traffic alone, whatever sibling
+    /// tests charge to the global meter meanwhile.
+    fn metered<R>(f: impl FnOnce() -> R) -> (R, MeterSnapshot) {
+        let scope = MeterScope::new();
+        let r = scope.enter(f);
+        (r, scope.snapshot())
+    }
 
     #[test]
     fn mutable_graph_mirrors_source() {
@@ -230,10 +238,10 @@ mod tests {
     #[test]
     fn pack_edges_removes_and_counts_writes() {
         let g = gen::complete(20);
-        let before = Meter::global().snapshot();
-        let mut mg = MutableGraph::from_graph(&g);
-        let remaining = mg.pack_edges(|u, v| u < v);
-        let d = Meter::global().snapshot().since(&before);
+        let (remaining, d) = metered(|| {
+            let mut mg = MutableGraph::from_graph(&g);
+            mg.pack_edges(|u, v| u < v)
+        });
         assert_eq!(remaining * 2, g.num_edges());
         assert!(
             d.graph_write > 0,
@@ -244,9 +252,7 @@ mod tests {
     #[test]
     fn gbbs_matching_valid_and_writes_graph() {
         let g = gen::rmat(8, 8, gen::RmatParams::default(), 3);
-        let before = Meter::global().snapshot();
-        let mate = gbbs_maximal_matching(&g, 7);
-        let d = Meter::global().snapshot().since(&before);
+        let (mate, d) = metered(|| gbbs_maximal_matching(&g, 7));
         seq::check_maximal_matching(&g, &mate).unwrap();
         assert!(d.graph_write > 0);
     }
@@ -261,12 +267,9 @@ mod tests {
     #[test]
     fn sage_matching_is_write_free_where_gbbs_is_not() {
         let g = gen::rmat(8, 8, gen::RmatParams::default(), 9);
-        let s0 = Meter::global().snapshot();
-        let _ = sage_core::algo::maximal_matching::maximal_matching(&g, 1);
-        let sage_writes = Meter::global().snapshot().since(&s0).graph_write;
-        let s1 = Meter::global().snapshot();
-        let _ = gbbs_maximal_matching(&g, 1);
-        let gbbs_writes = Meter::global().snapshot().since(&s1).graph_write;
+        let (_, sage) = metered(|| sage_core::algo::maximal_matching::maximal_matching(&g, 1));
+        let (_, gbbs) = metered(|| gbbs_maximal_matching(&g, 1));
+        let (sage_writes, gbbs_writes) = (sage.graph_write, gbbs.graph_write);
         assert_eq!(sage_writes, 0);
         assert!(gbbs_writes > 0);
     }

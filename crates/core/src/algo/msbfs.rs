@@ -387,6 +387,43 @@ mod tests {
         assert!(d.graph_read > 0);
     }
 
+    /// On a sharded snapshot the storage layer attributes every graph word:
+    /// a traversal and a whole-graph sweep, each run unchanged under a
+    /// partitioned scope, put all of their graph reads on the shards' parts
+    /// (every shard is read), and answer exactly as the monolithic graph
+    /// does — plain and compressed shards alike.
+    #[test]
+    fn sharded_reads_land_on_their_shards_parts() {
+        use crate::algo::pagerank::pagerank;
+        use sage_graph::ShardedCsr;
+        use sage_nvram::{MeterScope, MeterSnapshot};
+        let g = gen::rmat(9, 8, gen::RmatParams::default(), 40);
+        let sources: Vec<V> = (0..8).collect();
+        let want = msbfs_levels(&g, &sources);
+        let want_ranks = pagerank(&g, 1e-9, 10).ranks;
+        for sharded in [
+            ShardedCsr::from_csr(&g, 3),
+            ShardedCsr::from_csr_compressed(&g, 3, 64, 16),
+        ] {
+            let check = |scope: &MeterScope, what: &str| {
+                let parts: Vec<MeterSnapshot> = (0..3).map(|s| scope.part(s)).collect();
+                let sum: u64 = parts.iter().map(|p| p.graph_read).sum();
+                assert_eq!(sum, scope.snapshot().graph_read, "{what}");
+                assert!(parts.iter().all(|p| p.graph_read > 0), "{what}: {parts:?}");
+                assert_eq!(scope.snapshot().graph_write, 0, "{what}");
+            };
+            let scope = MeterScope::partitioned(3);
+            let got = scope.enter(|| msbfs_levels(&sharded, &sources));
+            check(&scope, "msbfs");
+            assert_eq!(got.levels, want.levels);
+            assert_eq!(got.seen, want.seen);
+            let scope = MeterScope::partitioned(3);
+            let ranks = scope.enter(|| pagerank(&sharded, 1e-9, 10).ranks);
+            check(&scope, "pagerank");
+            assert_eq!(ranks, want_ranks);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_source() {

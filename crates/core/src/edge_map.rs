@@ -195,7 +195,7 @@ fn edge_map_dense<G: Graph, F: EdgeMapFn>(g: &G, flags: &[bool], f: &F) -> Verte
 }
 
 /// Ligra's `edgeMapSparse`: `O(Σ_{u∈U} deg(u))` intermediate memory (§4.1.1).
-pub fn edge_map_sparse<G: Graph, F: EdgeMapFn>(g: &G, ids: &[V], f: &F) -> Vec<V> {
+fn edge_map_sparse<G: Graph, F: EdgeMapFn>(g: &G, ids: &[V], f: &F) -> Vec<V> {
     let mut offs: Vec<u64> = par::par_map(ids.len(), |i| g.degree(ids[i]) as u64);
     let total = par::scan_add(&mut offs) as usize;
     // The memory-inefficient allocation this paper eliminates: one slot per
@@ -229,7 +229,7 @@ pub fn edge_map_sparse<G: Graph, F: EdgeMapFn>(g: &G, ids: &[V], f: &F) -> Vec<V
 const EM_BLOCK_EDGES: usize = 2048;
 
 /// GBBS's `edgeMapBlocked`: `O(Σdeg)` slots but compact per-block writes.
-pub fn edge_map_blocked<G: Graph, F: EdgeMapFn>(g: &G, ids: &[V], f: &F) -> Vec<V> {
+fn edge_map_blocked<G: Graph, F: EdgeMapFn>(g: &G, ids: &[V], f: &F) -> Vec<V> {
     let mut offs: Vec<u64> = par::par_map(ids.len(), |i| g.degree(ids[i]) as u64);
     let total = par::scan_add(&mut offs) as usize;
     if total == 0 {
@@ -311,7 +311,7 @@ pub fn edge_map_blocked<G: Graph, F: EdgeMapFn>(g: &G, ids: &[V], f: &F) -> Vec<
 
 /// The paper's `edgeMapChunked` (Algorithm 1): memory-efficient sparse
 /// traversal with `O(n)` words of intermediate memory (Theorem 4.1).
-pub fn edge_map_chunked<G: Graph, F: EdgeMapFn>(g: &G, ids: &[V], f: &F) -> Vec<V> {
+fn edge_map_chunked<G: Graph, F: EdgeMapFn>(g: &G, ids: &[V], f: &F) -> Vec<V> {
     let bs = g.block_size();
     let davg = g.avg_degree();
     let chunk_size = 4096.max(davg); // Algorithm 1, line 1

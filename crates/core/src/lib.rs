@@ -36,12 +36,10 @@ pub mod edge_map;
 pub mod filter;
 pub mod overlay;
 pub mod seq;
-pub mod sharded;
 pub mod vertex_subset;
 
 pub use arena::QueryArena;
 pub use edge_map::{edge_map, EdgeMapFn, EdgeMapOpts, SparseImpl, Strategy};
 pub use filter::GraphFilter;
 pub use overlay::{DeltaOverlay, EdgeUpdate};
-pub use sharded::{MeterShardScopes, NoHook, ShardHook};
 pub use vertex_subset::VertexSubset;

@@ -7,29 +7,37 @@
 //! order, so every deterministic algorithm answers bitwise-identically over
 //! the sharded representation; what changes is the physical layout: each
 //! shard can live in its own `NvRegion` mapping (see
-//! [`crate::io::write_sharded`] / [`crate::io::load_sharded`]), be traversed
-//! by its own task under its own meter scope, and be placed on its own
-//! device or NUMA node.
+//! [`crate::io::write_sharded`] / [`crate::io::load_sharded`]) and be placed
+//! on its own device or NUMA node.
+//!
+//! Per-shard traffic is a fact of this layout, so [`ShardedCsr`] reports it
+//! itself: every adjacency read it serves from shard `s` runs inside
+//! [`meter::in_shard`]`(s, ..)`, so its words land on part `s` of a
+//! [partitioned](sage_nvram::meter::MeterScope::partitioned) meter scope.
+//! Any algorithm run over a `ShardedCsr` is attributed per shard with no
+//! shard-aware code of its own.
 //!
 //! Shard boundaries are chosen edge-balanced by [`ShardedCsr::from_csr`]:
 //! each shard carries roughly `m/k` directed edges, which is what balances
 //! per-shard traversal work (vertex-balanced splits leave hub-heavy shards
 //! doing nearly all the work on power-law inputs).
 //!
-//! [`Sharded`] is the small capability trait the engine's shard-aware
-//! drivers (`sage-core`'s delta-round handoff traversals) and the serving
-//! layer are generic over. A monolithic graph is its one-shard case: [`Csr`]
-//! and [`CompressedCsr`] implement it with the trait's defaults and are
-//! their own single shard.
+//! [`Sharded`] is the small capability trait the serving layer is generic
+//! over: it sizes the partitioned scope and prices per-shard admission from
+//! it. A monolithic graph is its one-shard case: [`Csr`] and
+//! [`CompressedCsr`] implement it with the trait's defaults and are their
+//! own single shard.
 
 use crate::compressed::CompressedCsr;
 use crate::csr::Csr;
 use crate::{Graph, V};
+use sage_nvram::meter;
 
 /// A graph whose vertex space is partitioned into contiguous ranges, each
-/// independently traversable. Implementors must preserve monolithic
+/// stored as its own graph. Implementors must preserve monolithic
 /// per-vertex adjacency order so traversal results stay representation-
-/// independent.
+/// independent, and serve shard `s`'s adjacency reads inside
+/// [`meter::in_shard`]`(s, ..)` so their traffic is attributed to it.
 ///
 /// The defaults describe one shard covering every vertex, so a monolithic
 /// graph only names itself as that shard.
@@ -159,8 +167,8 @@ impl Graph for ShardRepr {
 
 /// A vertex-range-sharded snapshot. Implements [`Graph`] by routing every
 /// per-vertex operation to the owning shard, so the whole engine runs over
-/// it unchanged; shard-aware callers use [`Sharded`] (including
-/// [`Sharded::shard`]) to drive per-shard work explicitly.
+/// it unchanged; each adjacency read runs inside [`meter::in_shard`] for its
+/// shard (`degree` reads no graph words and is not wrapped).
 pub struct ShardedCsr {
     shards: Vec<ShardRepr>,
     /// `starts[s]..starts[s+1]` is shard `s`'s vertex range; length `k+1`,
@@ -414,19 +422,19 @@ impl Graph for ShardedCsr {
     #[inline]
     fn for_each_edge<F: FnMut(V, u32)>(&self, v: V, f: F) {
         let (s, lv) = self.locate(v);
-        self.shards[s].for_each_edge(lv, f)
+        meter::in_shard(s, || self.shards[s].for_each_edge(lv, f))
     }
 
     #[inline]
     fn for_each_edge_while<F: FnMut(V, u32) -> bool>(&self, v: V, f: F) {
         let (s, lv) = self.locate(v);
-        self.shards[s].for_each_edge_while(lv, f)
+        meter::in_shard(s, || self.shards[s].for_each_edge_while(lv, f))
     }
 
     #[inline]
     fn decode_block<F: FnMut(u32, V, u32)>(&self, v: V, blk: usize, f: F) {
         let (s, lv) = self.locate(v);
-        self.shards[s].decode_block(lv, blk, f)
+        meter::in_shard(s, || self.shards[s].decode_block(lv, blk, f))
     }
 
     #[inline]
@@ -437,7 +445,7 @@ impl Graph for ShardedCsr {
     #[inline]
     fn edge_at(&self, v: V, i: usize) -> (V, u32) {
         let (s, lv) = self.locate(v);
-        self.shards[s].edge_at(lv, i)
+        meter::in_shard(s, || self.shards[s].edge_at(lv, i))
     }
 
     #[inline]
@@ -523,6 +531,40 @@ mod tests {
         assert_eq!(comp.num_shards(), 1);
         assert_eq!(comp.shard_range(0).len(), comp.num_vertices());
         assert!(std::ptr::eq(comp.shard(0), &comp));
+    }
+
+    /// Every adjacency read is attributed to the shard that served it, and
+    /// only to it: part `s` of a partitioned scope equals what reading shard
+    /// `s`'s vertices alone charges, and the parts sum to the scope total.
+    #[test]
+    fn reads_land_on_the_serving_shards_part() {
+        use sage_nvram::meter::MeterScope;
+        let g = gen::rmat(9, 8, gen::RmatParams::web(), 6);
+        let read = |sh: &ShardedCsr, vs: std::ops::Range<V>| {
+            for v in vs {
+                sh.for_each_edge(v, |_, _| {});
+                sh.for_each_edge_while(v, |_, _| false);
+                if sh.degree(v) > 0 {
+                    sh.decode_block(v, 0, |_, _, _| {});
+                }
+            }
+        };
+        for sharded in [
+            ShardedCsr::from_csr(&g, 3),
+            ShardedCsr::from_csr_compressed(&g, 3, 64, 16),
+        ] {
+            let scope = MeterScope::partitioned(3);
+            scope.enter(|| read(&sharded, 0..sharded.num_vertices() as V));
+            let mut sum = sage_nvram::MeterSnapshot::default();
+            for s in 0..3 {
+                let alone = MeterScope::new();
+                alone.enter(|| read(&sharded, sharded.shard_range(s)));
+                assert_eq!(scope.part(s), alone.snapshot(), "shard {s}");
+                assert!(alone.snapshot().graph_read > 0);
+                sum = sum.plus(&scope.part(s));
+            }
+            assert_eq!(sum, scope.snapshot());
+        }
     }
 
     #[test]

@@ -34,25 +34,36 @@
 //! [`Meter::reset`] by construction: a concurrent harness reset can skew the
 //! *global* totals but can never produce negative or corrupted per-query
 //! traffic.
+//!
+//! # Per-shard attribution
+//!
+//! A [`MeterScope::partitioned`] scope also keeps one meter per *part*. The
+//! storage layer says which part a read belongs to: a sharded graph serves
+//! each adjacency read of shard `s` inside [`in_shard`]`(s, ..)`, and every
+//! word charged there lands on part `s` as well as on the scope. Algorithms
+//! run unchanged and never learn that the graph is partitioned; what a scope
+//! charges outside every part (frontier bookkeeping, result gathering) is
+//! its residual: [`MeterScope::snapshot`] minus the sum of the parts.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Number of counter shards; threads hash onto shards so that hot-path
+/// Number of counter stripes; threads hash onto stripes so that hot-path
 /// updates never contend on a shared cache line.
-const SHARDS: usize = 32;
+const STRIPES: usize = 32;
 
-/// One shard: all four counters fit in a single 64-byte line, and shards are
-/// line-aligned so distinct threads touch distinct lines.
+/// One stripe: all four counters fit in a single 64-byte line, and stripes
+/// are line-aligned so distinct threads touch distinct lines.
 #[repr(align(64))]
-struct Shard {
+struct Stripe {
     graph_read: AtomicU64,
     graph_write: AtomicU64,
     aux_read: AtomicU64,
     aux_write: AtomicU64,
 }
 
-impl Shard {
+impl Stripe {
     const fn new() -> Self {
         Self {
             graph_read: AtomicU64::new(0),
@@ -63,42 +74,45 @@ impl Shard {
     }
 }
 
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Const-initialized (sentinel = unassigned) so the hot-path load skips
     /// the lazy-init machinery a computed initializer would add to every
     /// metered access; round-robin assignment happens on a thread's first
     /// report instead.
-    static MY_SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
+    static MY_STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
+
+    /// The part index set by [`in_shard`] (`usize::MAX` outside every part).
+    static PART: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
 #[inline]
-fn shard() -> usize {
-    MY_SHARD.with(|c| {
+fn stripe() -> usize {
+    MY_STRIPE.with(|c| {
         let s = c.get();
         if s != usize::MAX {
             s
         } else {
-            // ORDERING: Relaxed — round-robin shard assignment; only the
+            // ORDERING: Relaxed — round-robin stripe assignment; only the
             // RMW's uniqueness matters, no data is published through it.
-            let s = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
+            let s = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
             c.set(s);
             s
         }
     })
 }
 
-/// Raw traffic counters, in machine words (sharded per thread; see
+/// Raw traffic counters, in machine words (striped per thread; see
 /// [`Meter::snapshot`] for the aggregate view).
 pub struct Meter {
-    shards: [Shard; SHARDS],
+    stripes: [Stripe; STRIPES],
 }
 
 impl Default for Meter {
     fn default() -> Self {
         Self {
-            shards: [const { Shard::new() }; SHARDS],
+            stripes: [const { Stripe::new() }; STRIPES],
         }
     }
 }
@@ -157,7 +171,7 @@ impl MeterSnapshot {
 }
 
 static GLOBAL: Meter = Meter {
-    shards: [const { Shard::new() }; SHARDS],
+    stripes: [const { Stripe::new() }; STRIPES],
 };
 
 impl Meter {
@@ -166,18 +180,18 @@ impl Meter {
         &GLOBAL
     }
 
-    /// Sum the shards into a point-in-time view.
+    /// Sum the stripes into a point-in-time view.
     pub fn snapshot(&self) -> MeterSnapshot {
         let mut s = MeterSnapshot::default();
-        for shard in &self.shards {
+        for stripe in &self.stripes {
             // ORDERING: Relaxed (all four) — traffic counters are advisory
             // statistics: a snapshot taken while workers run is inherently
             // approximate, and phase-accurate readings (the PSAM assertions)
             // happen after a fork-join barrier that supplies the ordering.
-            s.graph_read += shard.graph_read.load(Ordering::Relaxed);
-            s.graph_write += shard.graph_write.load(Ordering::Relaxed); // ORDERING: as above
-            s.aux_read += shard.aux_read.load(Ordering::Relaxed); // ORDERING: as above
-            s.aux_write += shard.aux_write.load(Ordering::Relaxed); // ORDERING: as above
+            s.graph_read += stripe.graph_read.load(Ordering::Relaxed);
+            s.graph_write += stripe.graph_write.load(Ordering::Relaxed); // ORDERING: as above
+            s.aux_read += stripe.aux_read.load(Ordering::Relaxed); // ORDERING: as above
+            s.aux_write += stripe.aux_write.load(Ordering::Relaxed); // ORDERING: as above
         }
         s
     }
@@ -192,13 +206,13 @@ impl Meter {
     /// [`MeterSnapshot::since`] saturate rather than underflow if a reset
     /// slips in between.
     pub fn reset(&self) {
-        for shard in &self.shards {
+        for stripe in &self.stripes {
             // ORDERING: Relaxed (all four) — harness-only quiescent reset,
             // documented above as never racing a metered computation.
-            shard.graph_read.store(0, Ordering::Relaxed);
-            shard.graph_write.store(0, Ordering::Relaxed); // ORDERING: as above
-            shard.aux_read.store(0, Ordering::Relaxed); // ORDERING: as above
-            shard.aux_write.store(0, Ordering::Relaxed); // ORDERING: as above
+            stripe.graph_read.store(0, Ordering::Relaxed);
+            stripe.graph_write.store(0, Ordering::Relaxed); // ORDERING: as above
+            stripe.aux_read.store(0, Ordering::Relaxed); // ORDERING: as above
+            stripe.aux_write.store(0, Ordering::Relaxed); // ORDERING: as above
         }
     }
 }
@@ -213,10 +227,28 @@ impl Meter {
 /// scope.enter(|| meter::graph_read(128));
 /// assert_eq!(scope.snapshot().graph_read, 128);
 /// assert_eq!(scope.snapshot().graph_write, 0);
+///
+/// // A partitioned scope also meters what each part's reads charge.
+/// let scope = MeterScope::partitioned(2);
+/// scope.enter(|| {
+///     meter::in_shard(1, || meter::graph_read(40));
+///     meter::aux_write(3); // outside every part: residual
+/// });
+/// assert_eq!(scope.part(1).graph_read, 40);
+/// assert_eq!(scope.part(0).graph_read, 0);
+/// assert_eq!(scope.snapshot().graph_read, 40);
+/// assert_eq!(scope.snapshot().aux_write, 3);
 /// ```
 #[derive(Clone)]
 pub struct MeterScope {
-    meter: Arc<Meter>,
+    meters: Arc<ScopeMeters>,
+}
+
+/// What a [`MeterScope`] installs in the task context: its total meter and
+/// one meter per part (none for an unpartitioned scope).
+struct ScopeMeters {
+    total: Meter,
+    parts: Box<[Meter]>,
 }
 
 impl Default for MeterScope {
@@ -228,8 +260,19 @@ impl Default for MeterScope {
 impl MeterScope {
     /// A fresh scope with a zeroed private meter.
     pub fn new() -> Self {
+        Self::partitioned(0)
+    }
+
+    /// A fresh scope that also keeps `k` zeroed part meters: a word charged
+    /// inside [`in_shard`]`(s, ..)` with `s < k` while this scope is the
+    /// innermost one lands on part `s` as well as on the scope.
+    /// `partitioned(0)` is [`MeterScope::new`].
+    pub fn partitioned(k: usize) -> Self {
         Self {
-            meter: Arc::new(Meter::default()),
+            meters: Arc::new(ScopeMeters {
+                total: Meter::default(),
+                parts: (0..k).map(|_| Meter::default()).collect(),
+            }),
         }
     }
 
@@ -237,7 +280,7 @@ impl MeterScope {
     /// parallel tasks forked inside it lands on this scope's meter as well as
     /// the global one. Re-entrant and nestable (innermost scope wins).
     pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
-        let value: Arc<Meter> = Arc::clone(&self.meter);
+        let value: Arc<ScopeMeters> = Arc::clone(&self.meters);
         sage_parallel::context::with_slot(sage_parallel::context::SLOT_METER, value, f)
     }
 
@@ -246,25 +289,61 @@ impl MeterScope {
     /// scope's attributed traffic — no baseline subtraction, and immune to
     /// [`Meter::reset`].
     pub fn snapshot(&self) -> MeterSnapshot {
-        self.meter.snapshot()
+        self.meters.total.snapshot()
+    }
+
+    /// Point-in-time view of part `s`: the share of [`MeterScope::snapshot`]
+    /// charged inside [`in_shard`]`(s, ..)`.
+    ///
+    /// # Panics
+    /// Panics if the scope has no part `s`.
+    pub fn part(&self, s: usize) -> MeterSnapshot {
+        self.meters.parts[s].snapshot()
     }
 
     /// Borrow the underlying private meter.
     pub fn meter(&self) -> &Meter {
-        &self.meter
+        &self.meters.total
     }
 }
 
-/// Add `words` to counter `which` of the scoped meter, if a scope is
-/// installed on the current task.
+/// Run `f` as part `s`'s work on this thread: every word charged inside `f`
+/// also lands on part `s` of the innermost [`MeterScope`], if that scope is
+/// [partitioned](MeterScope::partitioned) into more than `s` parts; in every
+/// other case the index is ignored. Nests (the innermost index wins) and
+/// restores the previous index when `f` returns or unwinds.
+///
+/// The index is thread-local, not a task-context slot, so `f` **must not
+/// fork**: a job this thread steals while `f` waits on a fork would inherit
+/// part `s`, and a job another thread steals from `f` would not. The graph
+/// representations call this around one adjacency read, whose callback is
+/// per-edge work that never forks.
+pub fn in_shard<R>(s: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PART.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(PART.with(|c| c.replace(s)));
+    f()
+}
+
+/// Add `words` to counter `pick` of the innermost scope's meter, and of its
+/// current part's meter, if a scope is installed on the current task.
 #[inline]
-fn scoped_add(shard_idx: usize, pick: impl Fn(&Shard) -> &AtomicU64, words: u64) {
+fn scoped_add(stripe: usize, pick: impl Fn(&Stripe) -> &AtomicU64, words: u64) {
     sage_parallel::context::with(sage_parallel::context::SLOT_METER, |slot| {
-        if let Some(any) = slot {
-            if let Some(m) = any.downcast_ref::<Meter>() {
-                // ORDERING: Relaxed — statistics accumulation; readers are
-                // phase-separated by the scope's end (a fork-join barrier).
-                pick(&m.shards[shard_idx]).fetch_add(words, Ordering::Relaxed);
+        let Some(m) = slot.and_then(|any| any.downcast_ref::<ScopeMeters>()) else {
+            return;
+        };
+        // ORDERING: Relaxed — statistics accumulation; readers are
+        // phase-separated by the scope's end (a fork-join barrier).
+        pick(&m.total.stripes[stripe]).fetch_add(words, Ordering::Relaxed);
+        if !m.parts.is_empty() {
+            if let Some(part) = m.parts.get(PART.with(Cell::get)) {
+                // ORDERING: Relaxed — as above.
+                pick(&part.stripes[stripe]).fetch_add(words, Ordering::Relaxed);
             }
         }
     });
@@ -273,45 +352,45 @@ fn scoped_add(shard_idx: usize, pick: impl Fn(&Shard) -> &AtomicU64, words: u64)
 /// Record `words` read from the graph (bulk-reported by engine primitives).
 #[inline]
 pub fn graph_read(words: u64) {
-    let s = shard();
+    let s = stripe();
     // ORDERING: Relaxed — statistics accumulation; see `Meter::snapshot`.
-    GLOBAL.shards[s]
+    GLOBAL.stripes[s]
         .graph_read
         .fetch_add(words, Ordering::Relaxed);
-    scoped_add(s, |sh| &sh.graph_read, words);
+    scoped_add(s, |st| &st.graph_read, words);
 }
 
 /// Record `words` written to the graph (only baseline systems do this).
 #[inline]
 pub fn graph_write(words: u64) {
-    let s = shard();
+    let s = stripe();
     // ORDERING: Relaxed — statistics accumulation; see `Meter::snapshot`.
-    GLOBAL.shards[s]
+    GLOBAL.stripes[s]
         .graph_write
         .fetch_add(words, Ordering::Relaxed);
-    scoped_add(s, |sh| &sh.graph_write, words);
+    scoped_add(s, |st| &st.graph_write, words);
 }
 
 /// Record `words` read from algorithm state.
 #[inline]
 pub fn aux_read(words: u64) {
-    let s = shard();
+    let s = stripe();
     // ORDERING: Relaxed — statistics accumulation; see `Meter::snapshot`.
-    GLOBAL.shards[s]
+    GLOBAL.stripes[s]
         .aux_read
         .fetch_add(words, Ordering::Relaxed);
-    scoped_add(s, |sh| &sh.aux_read, words);
+    scoped_add(s, |st| &st.aux_read, words);
 }
 
 /// Record `words` written to algorithm state.
 #[inline]
 pub fn aux_write(words: u64) {
-    let s = shard();
+    let s = stripe();
     // ORDERING: Relaxed — statistics accumulation; see `Meter::snapshot`.
-    GLOBAL.shards[s]
+    GLOBAL.stripes[s]
         .aux_write
         .fetch_add(words, Ordering::Relaxed);
-    scoped_add(s, |sh| &sh.aux_write, words);
+    scoped_add(s, |st| &st.aux_write, words);
 }
 
 /// Relative per-word access costs (DRAM read ≡ 1).
@@ -592,6 +671,87 @@ mod tests {
         private.meter().reset();
         assert_eq!(private.snapshot(), MeterSnapshot::default());
         assert_eq!(scope.snapshot().graph_read, 50);
+    }
+
+    fn part_index() -> usize {
+        PART.with(Cell::get)
+    }
+
+    #[test]
+    fn in_shard_charges_land_on_the_part_and_the_scope() {
+        let _serial = serial();
+        let scope = MeterScope::partitioned(3);
+        scope.enter(|| {
+            in_shard(0, || graph_read(10));
+            in_shard(2, || {
+                graph_read(5);
+                aux_write(2);
+            });
+            in_shard(7, || graph_read(100)); // no part 7: scope only
+            aux_read(4); // outside every part: residual
+        });
+        assert_eq!(scope.part(0).graph_read, 10);
+        assert_eq!(scope.part(1), MeterSnapshot::default());
+        assert_eq!(
+            scope.part(2),
+            MeterSnapshot {
+                graph_read: 5,
+                aux_write: 2,
+                ..Default::default()
+            }
+        );
+        assert_eq!(
+            scope.snapshot(),
+            MeterSnapshot {
+                graph_read: 115,
+                graph_write: 0,
+                aux_read: 4,
+                aux_write: 2,
+            }
+        );
+    }
+
+    #[test]
+    fn nested_in_shard_restores_the_previous_index() {
+        let _serial = serial();
+        let scope = MeterScope::partitioned(2);
+        scope.enter(|| {
+            in_shard(0, || {
+                graph_read(1);
+                in_shard(1, || graph_read(20));
+                assert_eq!(part_index(), 0);
+                graph_read(300);
+            });
+        });
+        assert_eq!(part_index(), usize::MAX);
+        assert_eq!(scope.part(0).graph_read, 301);
+        assert_eq!(scope.part(1).graph_read, 20);
+    }
+
+    #[test]
+    fn a_panic_inside_in_shard_restores_the_index() {
+        in_shard(1, || {
+            let caught = std::panic::catch_unwind(|| in_shard(0, || panic!("read failed")));
+            assert!(caught.is_err());
+            assert_eq!(part_index(), 1);
+        });
+        assert_eq!(part_index(), usize::MAX);
+    }
+
+    #[test]
+    fn unpartitioned_scopes_ignore_the_part_index() {
+        let _serial = serial();
+        let plain = MeterScope::new();
+        plain.enter(|| in_shard(0, || graph_read(9)));
+        assert_eq!(plain.snapshot().graph_read, 9);
+        // The innermost scope wins: a plain scope nested in a partitioned
+        // one takes the words, and the outer parts see none of them.
+        let outer = MeterScope::partitioned(1);
+        let inner = MeterScope::new();
+        outer.enter(|| inner.enter(|| in_shard(0, || graph_read(6))));
+        assert_eq!(inner.snapshot().graph_read, 6);
+        assert_eq!(outer.snapshot(), MeterSnapshot::default());
+        assert_eq!(outer.part(0), MeterSnapshot::default());
     }
 
     #[test]

@@ -81,7 +81,7 @@ fn report_bytes(members: &[crate::queue::Pending], bytes_per_vertex: u64) -> u64
 /// estimate is derived from the representation itself — capped at a small
 /// share of [`Graph::size_bytes`], since scratch can never usefully exceed
 /// the encoded graph. Zero for random-access (plain CSR) graphs.
-pub fn decode_scratch_estimate<G: Graph>(g: &G) -> u64 {
+pub(crate) fn decode_scratch_estimate<G: Graph>(g: &G) -> u64 {
     if g.supports_random_access() {
         return 0;
     }
@@ -107,22 +107,23 @@ pub fn dram_estimate_for<G: Graph>(g: &G, query: &Query) -> u64 {
 /// * a BFS batch of `k` sources runs on three `O(n)`-word mask arrays plus a
 ///   frontier — one set for the whole batch, not `k` frontiers — and only
 ///   the returned level arrays are per-member (`k·n` words, the same words
-///   an unbatched run would hand back one query at a time); the sharded
-///   driver's per-shard frontier slices (old + next, totalling `~2n` since
-///   they partition the vertex set) add one more `n`;
+///   an unbatched run would hand back one query at a time); the shard count
+///   does not change it, since every snapshot runs the same traversal, and
+///   a lone BFS is priced as [`dram_estimate`] prices it;
 /// * a connectivity batch runs **one** labeling regardless of how many
 ///   `(u, v)` probes consume it; on more than one shard that labeling is one
-///   lock-free union-find forest shared by every shard task plus the label
-///   array — two `u32` arrays, one word per vertex whatever the shard count;
+///   lock-free union-find forest over all edges plus the label array — two
+///   `u32` arrays, one word per vertex whatever the shard count;
 /// * analytics run one shared power method or peel; only the report pairs
 ///   are per-member;
 /// * neighborhood members execute sequentially, so their peak is the
 ///   largest single estimate, not the sum; a 1-hop probe's frontier lives
 ///   inside one shard, so its `O(n)` bound shrinks to that shard's range.
 ///
-/// A lone query on one shard is priced exactly as [`dram_estimate`]. The
-/// representation adds its decode scratch, summed over the distinct shards
-/// the unit touches ([`batch_scratch_estimate`]).
+/// A lone query on one shard, and a lone BFS on any, is priced as
+/// [`dram_estimate`]. The representation adds its decode scratch, summed
+/// over the distinct shards the unit touches, and a snapshot of more than
+/// one shard a page per shard for the unit's per-shard meters.
 pub fn batch_estimate_for<G: Sharded>(g: &G, batch: &QueryBatch) -> u64 {
     let members = batch.members();
     let n = g.num_vertices() as u64;
@@ -130,12 +131,11 @@ pub fn batch_estimate_for<G: Sharded>(g: &G, batch: &QueryBatch) -> u64 {
     let sharded = g.num_shards() > 1;
     let base = match batch.class() {
         _ if k == 1 && !sharded => dram_estimate(n as usize, members[0].query()),
+        BatchClass::Bfs if k == 1 => dram_estimate(n as usize, members[0].query()),
         // 3 mask arrays + frontier scratch, plus k level outputs.
-        BatchClass::Bfs if sharded => (5 * n + k * n) * WORD,
         BatchClass::Bfs => (4 * n + k * n) * WORD,
-        // The shared forest + the labels (n u32 each), and a page per shard
-        // task for its spawned job and hook bookkeeping.
-        BatchClass::Connected if sharded => n * WORD + g.num_shards() as u64 * 4096 + k * 64,
+        // The shared forest + the labels (n u32 each).
+        BatchClass::Connected if sharded => n * WORD + k * 64,
         // One LDD labeling; per-probe state is O(1).
         BatchClass::Connected => 3 * n * WORD + k * 64,
         // One shared power method (three rank vectors + contributions).
@@ -157,7 +157,14 @@ pub fn batch_estimate_for<G: Sharded>(g: &G, batch: &QueryBatch) -> u64 {
                 + k * 64
         }
     };
-    base + batch_scratch_estimate(g, batch)
+    // On more than one shard the unit's meter scope keeps a part meter per
+    // shard: a page each.
+    let part_meters = if sharded {
+        g.num_shards() as u64 * 4096
+    } else {
+        0
+    };
+    base + part_meters + batch_scratch_estimate(g, batch)
 }
 
 /// Decode-scratch surcharge for one execution unit: the sum of
@@ -170,7 +177,7 @@ pub fn batch_estimate_for<G: Sharded>(g: &G, batch: &QueryBatch) -> u64 {
 /// the shard owning its center. Charging per *distinct shard* rather than
 /// per *member × shard* is what keeps a batch of `k` single-shard probes
 /// from reserving `k × num_shards` buffer sets it can never use.
-pub fn batch_scratch_estimate<G: Sharded>(g: &G, batch: &QueryBatch) -> u64 {
+pub(crate) fn batch_scratch_estimate<G: Sharded>(g: &G, batch: &QueryBatch) -> u64 {
     let mut touched = vec![false; g.num_shards()];
     match batch.class() {
         BatchClass::Neighborhood => {
@@ -297,7 +304,7 @@ impl MeasuredCost {
     }
 
     /// Measured per-member bytes for `kind`, if any unit of it has run.
-    pub fn per_member_bytes(&self, kind: CostKind) -> Option<u64> {
+    pub(crate) fn per_member_bytes(&self, kind: CostKind) -> Option<u64> {
         match self.ewma[kind as usize].load(Ordering::Relaxed) {
             0 => None,
             b => Some(b),

@@ -3,23 +3,21 @@
 //!
 //! The scheduler drains compatible queued queries (see
 //! [`RequestQueue::pop_batch`](crate::queue::RequestQueue::pop_batch)) and
-//! executes them as a unit over any [`Sharded`] snapshot — a monolithic graph
-//! is the one-shard case:
+//! executes them as a unit over any [`Sharded`] snapshot. Every class runs
+//! the one ordinary engine call whatever the shard count:
 //!
 //! * **BFS** runs [`bfs_levels`](sage_core::algo::bfs::bfs_levels) for a lone
-//!   query on one shard, one bit-parallel [`msbfs`](sage_core::algo::msbfs)
-//!   traversal for a batch on one shard (up to 64 point queries for the PSAM
-//!   cost of a single edge sweep, `O(n)` words of mask state instead of one
-//!   frontier per query), and the shard-aware delta-round driver
-//!   ([`msbfs_levels_sharded`]) under per-shard scopes when there are more
-//!   shards;
+//!   query and one bit-parallel [`msbfs`](sage_core::algo::msbfs) traversal
+//!   for a batch (up to 64 point queries for the PSAM cost of a single edge
+//!   sweep, `O(n)` words of mask state instead of one frontier per query);
 //! * **Connectivity-membership** batches run one labeling — LDD
 //!   [`connectivity`](sage_core::algo::connectivity::connectivity) on one
-//!   shard, the shared-forest [`connectivity_sharded`] otherwise — and
-//!   answer every `(u, v)` pair from it;
+//!   shard, the plain union-find
+//!   [`connectivity_union_find`](sage_core::algo::connectivity::connectivity_union_find)
+//!   on more — and answer every `(u, v)` pair from it;
 //! * **Neighborhood** batches share the dispatch/admission round-trip but
 //!   execute members as individual units (each probe is `O(deg)`; there is
-//!   no shared traversal to amortize), each hop under its owner's scope;
+//!   no shared traversal to amortize);
 //! * **Same-parameter analytics** batches share one engine run, a lone query
 //!   being a one-request run: [`BatchClass::PageRank`] groups on
 //!   `(iters, damping)` (damping compared by bit pattern) and
@@ -28,20 +26,20 @@
 //!
 //! # Attribution
 //!
-//! Every unit runs under one outer [`MeterScope`] plus, when the snapshot
-//! has more than one shard, one scope per shard (`run_unit`); shard `s`'s
-//! work lands on its scope, everything else stays on the outer scope as
-//! residual. Each scope is split across members **by touched-word shares** —
-//! for BFS, the number of vertices each source reached (each set mask bit is
-//! one source touching one vertex); for connectivity, uniformly (every member
-//! consumes the same labeling); for analytics, by report size. The split is
-//! word-exact: members receive the floor share and the remainder words go to
-//! the first members, so the per-query snapshots still sum to precisely the
-//! unit's scoped traffic and the service-wide reconciliation invariant
-//! (`Σ per-query == global delta` in a quiet process) survives batching.
-//! Analytics sweep every edge per iteration, so on a partitioned snapshot
-//! their per-shard breakdown is each member's traffic split by shard edge
-//! count instead.
+//! Every unit runs under one [`MeterScope`] (`run_unit`), partitioned into
+//! one part per shard when the snapshot has more than one. The storage layer
+//! fills the parts: a [`ShardedCsr`](sage_graph::ShardedCsr) serves each
+//! adjacency read inside [`meter::in_shard`], so every graph word lands on
+//! the part of the shard that held it, and what the unit charged outside
+//! every part is its residual. The residual and each part are split across
+//! members **by touched-word shares** — for BFS, the number of vertices each
+//! source reached (each set mask bit is one source touching one vertex); for
+//! connectivity, uniformly (every member consumes the same labeling); for
+//! analytics, by report size. The split is word-exact: members receive the
+//! floor share and the remainder words go to the first members, so the
+//! per-query snapshots still sum to precisely the unit's scoped traffic and
+//! the service-wide reconciliation invariant (`Σ per-query == global delta`
+//! in a quiet process) survives batching.
 //!
 //! Responses are **bitwise-identical** across batch sizes and shard counts:
 //! BFS answers are distance arrays (deterministic, unlike parent choices),
@@ -51,7 +49,6 @@
 use crate::query::{BatchClass, Query, Response, PAGERANK_EPS, QUERY_SEED};
 use crate::queue::Pending;
 use sage_core::algo;
-use sage_core::sharded::{connectivity_sharded, msbfs_levels_sharded, MeterShardScopes, ShardHook};
 use sage_graph::{Graph, Sharded, V};
 use sage_nvram::{meter, MeterScope, MeterSnapshot};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -117,7 +114,6 @@ pub(crate) struct BatchOutcome {
 /// member.
 pub(crate) fn run_batch<G: Sharded>(g: &G, batch: &QueryBatch) -> Vec<BatchOutcome> {
     let members = batch.members();
-    let sharded = g.num_shards() > 1;
     match batch.class() {
         BatchClass::Bfs => {
             let sources: Vec<V> = members
@@ -127,12 +123,8 @@ pub(crate) fn run_batch<G: Sharded>(g: &G, batch: &QueryBatch) -> Vec<BatchOutco
                     other => unreachable!("non-BFS query {other:?} in a BFS batch"),
                 })
                 .collect();
-            run_unit(g, members.len(), ShardSplit::Scopes, |hook| {
+            run_unit(g, members.len(), || {
                 let (levels, reached) = match sources[..] {
-                    _ if sharded => {
-                        let ms = msbfs_levels_sharded(g, &sources, hook);
-                        (ms.levels, ms.reached)
-                    }
                     [src] => {
                         let (levels, _rounds) = algo::bfs::bfs_levels(g, src);
                         let reached = levels.iter().filter(|&&l| l != u64::MAX).count();
@@ -155,9 +147,9 @@ pub(crate) fn run_batch<G: Sharded>(g: &G, batch: &QueryBatch) -> Vec<BatchOutco
                 (responses, shares)
             })
         }
-        BatchClass::Connected => run_unit(g, members.len(), ShardSplit::Scopes, |hook| {
-            let labels = if sharded {
-                connectivity_sharded(g, hook)
+        BatchClass::Connected => run_unit(g, members.len(), || {
+            let labels = if g.num_shards() > 1 {
+                algo::connectivity::connectivity_union_find(g)
             } else {
                 algo::connectivity::connectivity(g, 0.2, QUERY_SEED)
             };
@@ -187,9 +179,7 @@ pub(crate) fn run_batch<G: Sharded>(g: &G, batch: &QueryBatch) -> Vec<BatchOutco
                         p.query()
                     );
                 };
-                run_unit(g, 1, ShardSplit::Scopes, |hook| {
-                    (vec![neighborhood(g, src, hops, hook)], vec![1])
-                })
+                run_unit(g, 1, || (vec![neighborhood(g, src, hops)], vec![1]))
             })
             .collect(),
         BatchClass::PageRank {
@@ -197,7 +187,7 @@ pub(crate) fn run_batch<G: Sharded>(g: &G, batch: &QueryBatch) -> Vec<BatchOutco
             damping_bits,
         } => {
             let requests = report_sets(members);
-            run_unit(g, members.len(), ShardSplit::Edges, |_| {
+            run_unit(g, members.len(), || {
                 let multi = algo::pagerank::pagerank_multi(
                     g,
                     PAGERANK_EPS,
@@ -218,7 +208,7 @@ pub(crate) fn run_batch<G: Sharded>(g: &G, batch: &QueryBatch) -> Vec<BatchOutco
         }
         BatchClass::KCore { k } => {
             let requests = report_sets(members);
-            run_unit(g, members.len(), ShardSplit::Edges, |_| {
+            run_unit(g, members.len(), || {
                 let multi = algo::kcore::kcore_multi(g, k, &requests);
                 let responses = multi
                     .reports
@@ -234,25 +224,13 @@ pub(crate) fn run_batch<G: Sharded>(g: &G, batch: &QueryBatch) -> Vec<BatchOutco
     }
 }
 
-/// How a unit's traffic is attributed to shards when there is more than one.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ShardSplit {
-    /// Shard `s`'s work runs under its own meter scope (through the hook the
-    /// body receives); the rest of the unit is residual.
-    Scopes,
-    /// Every member's traffic is split by shard edge count: the algorithm
-    /// sweeps every edge per iteration, so a shard's edge share is its read
-    /// share.
-    Edges,
-}
-
 /// Run one execution unit of `members` queries: `body` computes one response
-/// per member and the shares its traffic is split by, under an outer meter
-/// scope and, with [`ShardSplit::Scopes`] on more than one shard, one scope
-/// per shard (the hook it receives; on one shard the hook runs work on the
-/// outer scope). Times the run, contains a panic, and splits the scopes
-/// word-exactly: for every member `traffic == residual + Σ_s per_shard[s]`,
-/// and summed over members every scoped word is accounted for.
+/// per member and the shares its traffic is split by, under one meter scope
+/// with a part per shard when the snapshot has more than one. Times the run,
+/// contains a panic, and splits the residual (the scope total less its parts)
+/// and each part word-exactly: for every member
+/// `traffic == residual + Σ_s per_shard[s]`, and summed over members every
+/// scoped word is accounted for.
 ///
 /// If `body` panics, every member gets [`Response::Failed`] with an empty
 /// `per_shard`, and whatever the run metered before dying is split evenly,
@@ -260,29 +238,21 @@ enum ShardSplit {
 fn run_unit<G: Sharded>(
     g: &G,
     members: usize,
-    split: ShardSplit,
-    body: impl FnOnce(&MeterShardScopes<'_>) -> (Vec<Response>, Vec<u64>),
+    body: impl FnOnce() -> (Vec<Response>, Vec<u64>),
 ) -> Vec<BatchOutcome> {
-    let sharded = g.num_shards() > 1;
-    let outer = MeterScope::new();
-    let shards: Vec<MeterScope> = if sharded && split == ShardSplit::Scopes {
-        (0..g.num_shards()).map(|_| MeterScope::new()).collect()
-    } else {
-        Vec::new()
+    let num_parts = match g.num_shards() {
+        1 => 0,
+        k => k,
     };
+    let scope = MeterScope::partitioned(num_parts);
     let start = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        outer.enter(|| body(&MeterShardScopes(&shards)))
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| scope.enter(body)));
     let seconds = start.elapsed().as_secs_f64();
     let (responses, shares) = match result {
         Ok(answers) => answers,
         Err(payload) => {
             let response = failed_response(payload);
-            let total = shards
-                .iter()
-                .fold(outer.snapshot(), |acc, s| acc.plus(&s.snapshot()));
-            return split_traffic(total, &vec![1; members])
+            return split_traffic(scope.snapshot(), &vec![1; members])
                 .into_iter()
                 .map(|traffic| BatchOutcome {
                     response: response.clone(),
@@ -294,30 +264,20 @@ fn run_unit<G: Sharded>(
         }
     };
     debug_assert_eq!(responses.len(), members);
-    let residual = split_traffic(outer.snapshot(), &shares);
-    let shard_splits: Vec<Vec<MeterSnapshot>> = shards
+    let parts: Vec<MeterSnapshot> = (0..num_parts).map(|s| scope.part(s)).collect();
+    let in_parts = parts
         .iter()
-        .map(|s| split_traffic(s.snapshot(), &shares))
-        .collect();
-    let edge_shares: Vec<u64> = if sharded && split == ShardSplit::Edges {
-        (0..g.num_shards())
-            .map(|s| g.shard(s).num_edges() as u64)
-            .collect()
-    } else {
-        Vec::new()
-    };
+        .fold(MeterSnapshot::default(), |acc, p| acc.plus(p));
+    let residual = split_traffic(scope.snapshot().since(&in_parts), &shares);
+    let part_splits: Vec<Vec<MeterSnapshot>> =
+        parts.iter().map(|p| split_traffic(*p, &shares)).collect();
     responses
         .into_iter()
         .zip(residual)
         .enumerate()
         .map(|(i, (response, residual))| {
-            let scoped: Vec<MeterSnapshot> = shard_splits.iter().map(|ss| ss[i]).collect();
-            let traffic = scoped.iter().fold(residual, |acc, p| acc.plus(p));
-            let per_shard = if edge_shares.is_empty() {
-                scoped
-            } else {
-                split_traffic(traffic, &edge_shares)
-            };
+            let per_shard: Vec<MeterSnapshot> = part_splits.iter().map(|ps| ps[i]).collect();
+            let traffic = per_shard.iter().fold(residual, |acc, p| acc.plus(p));
             BatchOutcome {
                 response,
                 traffic,
@@ -328,31 +288,16 @@ fn run_unit<G: Sharded>(
         .collect()
 }
 
-/// One neighborhood probe: each hop's adjacency reads run under the owning
-/// shard's hook; the gathered output (sorted, deduplicated) is order-
-/// independent, hence the same whatever the shard count.
-fn neighborhood<G: Sharded>(g: &G, src: V, hops: u8, hook: &MeterShardScopes<'_>) -> Response {
+/// One neighborhood probe. The gathered output (sorted, deduplicated) is
+/// order-independent, hence the same whatever the shard count.
+fn neighborhood<G: Graph>(g: &G, src: V, hops: u8) -> Response {
     let mut out: Vec<V> = Vec::new();
-    let mut frontier: Vec<V> = Vec::new();
-    hook.run(g.shard_of(src), || {
-        g.for_each_edge(src, |d, _| {
-            out.push(d);
-            frontier.push(d);
-        });
-    });
+    g.for_each_edge(src, |d, _| out.push(d));
     if hops == 2 {
-        // Scatter the second hop by owner so each shard's reads run under
-        // its own scope; the sort below erases visit order.
-        let mut by_shard: Vec<Vec<V>> = vec![Vec::new(); g.num_shards()];
-        for &u in &frontier {
-            by_shard[g.shard_of(u)].push(u);
-        }
-        for (s, vs) in by_shard.iter().enumerate() {
-            hook.run(s, || {
-                for &u in vs {
-                    g.for_each_edge(u, |d, _| out.push(d));
-                }
-            });
+        // The range is fixed here: the first hop only, while `out` grows.
+        for i in 0..out.len() {
+            let u = out[i];
+            g.for_each_edge(u, |d, _| out.push(d));
         }
     }
     out.sort_unstable();
@@ -498,8 +443,8 @@ mod tests {
         }
     }
 
-    /// A unit whose body charges known words — some on the outer scope, some
-    /// under shard hooks — and then panics: every member fails, no member
+    /// A unit whose body charges known words — some outside every shard,
+    /// some inside shards — and then panics: every member fails, no member
     /// carries a per-shard breakdown, and member traffic still sums to every
     /// word the body charged.
     #[test]
@@ -509,11 +454,11 @@ mod tests {
         let sharded = ShardedCsr::from_csr(&csr, 3);
         assert_eq!(sharded.num_shards(), 3);
         fn panicking_unit<G: Sharded>(g: &G) -> Vec<BatchOutcome> {
-            run_unit(g, 4, ShardSplit::Scopes, |hook| {
+            run_unit(g, 4, || {
                 meter::graph_read(1000);
                 meter::aux_write(7);
                 for s in 0..g.num_shards() {
-                    hook.run(s, || meter::aux_read(10 + s as u64));
+                    meter::in_shard(s, || meter::aux_read(10 + s as u64));
                 }
                 panic!("injected unit panic");
             })

@@ -28,8 +28,9 @@
 //!   aggregate small-memory use stays bounded no matter the offered load
 //!   (a batch reserves one set of shared state, not one per member);
 //! * per-query attribution — every execution unit runs under its own
-//!   [`sage_nvram::MeterScope`] (plus one per shard on a partitioned
-//!   snapshot) and a per-worker [`sage_core::QueryArena`];
+//!   [`sage_nvram::MeterScope`] (with a part per shard on a partitioned
+//!   snapshot, which the shards fill themselves) and a per-worker
+//!   [`sage_core::QueryArena`];
 //!   a shared batch run's traffic is split back across members by
 //!   touched-word shares, word-exactly, so results carry a
 //!   [`MeterSnapshot`](sage_nvram::MeterSnapshot) (zero `graph_write`
@@ -298,9 +299,9 @@ struct Shared<G> {
 /// request, and joins the workers.
 ///
 /// The snapshot may be partitioned ([`ShardedCsr`],
-/// served as [`ShardedService`]): execution units then scatter to the owning
-/// shards and every result carries a per-shard traffic breakdown
-/// ([`QueryResult::per_shard`]). A monolithic graph is the one-shard case of
+/// served as [`ShardedService`]): execution units run the same engine calls
+/// over it, the shards attribute their own reads, and every result carries a
+/// per-shard traffic breakdown ([`QueryResult::per_shard`]). A monolithic graph is the one-shard case of
 /// the same service, and answers are bitwise-identical either way.
 ///
 /// The served snapshot is **live-updatable**: [`GraphService::publish`]

@@ -90,16 +90,6 @@ impl Priority {
     pub fn index(self) -> usize {
         self as usize
     }
-
-    /// The class at dense index `i` (inverse of [`Priority::index`]).
-    pub fn from_index(i: usize) -> Self {
-        match i {
-            0 => Priority::PointLookup,
-            1 => Priority::Probe,
-            2 => Priority::Analytics,
-            _ => panic!("priority index {i} out of range"),
-        }
-    }
 }
 
 /// A typed request against the shared graph snapshot.
@@ -288,11 +278,13 @@ pub struct QueryResult {
     /// independent of every other in-flight query and of `Meter::reset`.
     pub traffic: MeterSnapshot,
     /// Per-shard breakdown of `traffic` when the snapshot has more than one
-    /// shard (`per_shard[s]` is the share of this query's traffic attributed
-    /// to shard `s`; summed over shards it never exceeds `traffic`, the
-    /// difference being residual work — seeding, handoff, gather — done
-    /// outside any shard). Empty on a one-shard snapshot (a monolithic graph
-    /// is one shard), for cache hits and for failed executions.
+    /// shard: `per_shard[s]` is this query's share of the words charged
+    /// while the storage layer served shard `s`'s adjacency reads. Every
+    /// graph word is read inside some shard, so the `graph_read`s sum to
+    /// `traffic.graph_read` exactly; the rest of `traffic` is residual DRAM
+    /// work (frontiers, labels, gathering the answer) done outside any
+    /// shard. Empty on a one-shard snapshot (a monolithic graph is one
+    /// shard), for cache hits and for failed executions.
     pub per_shard: Vec<MeterSnapshot>,
     /// Wall-clock seconds of the engine run that answered this query
     /// (excluding queue wait): the query's own run when it executed in

@@ -448,18 +448,6 @@ impl Ticket {
         }
     }
 
-    /// Non-blocking redemption: the result if the query has already
-    /// completed, or the ticket back otherwise. Consumes the ticket on
-    /// success — the result lives in a take-once slot, so an `&self` probe
-    /// would let a successful poll strand a later `wait()` forever.
-    pub fn try_take(self) -> Result<QueryResult, Ticket> {
-        let taken = self.state.slot.lock().take();
-        match taken {
-            Some(r) => Ok(r),
-            None => Err(self),
-        }
-    }
-
     /// Whether the result is ready (does not consume it).
     pub fn is_ready(&self) -> bool {
         self.state.slot.lock().is_some()

@@ -1,13 +1,14 @@
-//! Scatter-gather serving over a partitioned snapshot.
+//! Serving over a partitioned snapshot.
 //!
 //! The full sharded pipeline end-to-end: build a web-shaped graph, partition
 //! it into edge-balanced vertex-range shards (plain *and* compressed),
 //! persist the shard manifest plus per-shard files, map every shard back
 //! read-only as its own emulated-NVRAM region, and serve batched BFS point
 //! queries through a [`ShardedService`] — asserting along the way that the
-//! sharded answers are bitwise-identical to a monolithic [`GraphService`]'s
-//! and that per-shard traffic attribution reconciles word-exactly with the
-//! global meter.
+//! sharded answers are bitwise-identical to a monolithic [`GraphService`]'s,
+//! that per-query traffic reconciles word-exactly with the global meter, and
+//! that the per-shard graph reads — attributed by the shards themselves —
+//! sum to every graph word served.
 //!
 //! ```text
 //! cargo run --release --example sharded_serve
@@ -123,6 +124,13 @@ fn main() -> std::io::Result<()> {
     assert_eq!(
         traffic, delta,
         "attributed traffic diverged from the global meter delta"
+    );
+    // Every graph word is read inside the shard that holds it, so the
+    // per-shard breakdown accounts for all of them.
+    assert_eq!(
+        per_shard.iter().map(|s| s.graph_read).sum::<u64>(),
+        traffic.graph_read,
+        "per-shard graph reads do not sum to the served graph reads"
     );
 
     // Every sharded answer matches the monolithic service's, bit for bit.

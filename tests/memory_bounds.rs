@@ -2,12 +2,11 @@
 //! this binary installs the tracking allocator and measures actual peak heap
 //! usage of the traversal variants and the graphFilter.
 
-use sage_core::algo::connectivity::connectivity;
+use sage_core::algo::connectivity::{connectivity, connectivity_union_find};
 use sage_core::algo::kcore::kcore;
 use sage_core::edge_map::{EdgeMapOpts, SparseImpl, Strategy};
-use sage_core::sharded::{connectivity_sharded, NoHook};
 use sage_core::GraphFilter;
-use sage_graph::{gen, Graph, ShardedCsr};
+use sage_graph::{gen, Graph, Sharded, ShardedCsr};
 use sage_nvram::alloc_track::{self, TrackingAlloc};
 
 #[global_allocator]
@@ -171,9 +170,9 @@ fn kcore_peak_fits_its_admission_estimate_whatever_m() {
     );
 }
 
-/// Same bound for the sharded labeling against the estimate its service
-/// acquires: one shared forest plus the labels, whatever the shard count —
-/// not a forest per shard.
+/// Same bound for the union-find labeling the service runs on a sharded
+/// snapshot, against the estimate it acquires there: one forest plus the
+/// labels, whatever the shard count — not a forest per shard.
 #[test]
 fn sharded_connectivity_peak_fits_its_admission_estimate() {
     use sage_serve::queue::{BatchPolicy, Pending, RequestQueue, SchedPolicy};
@@ -188,7 +187,7 @@ fn sharded_connectivity_peak_fits_its_admission_estimate() {
         let g = ShardedCsr::from_csr(&gen::rmat(13, ef, gen::RmatParams::web(), 5), 4);
         let bound = sage_serve::batch_estimate_for(&g, &batch);
         let peak = peak_of(|| {
-            let _ = connectivity_sharded(&g, &NoHook);
+            let _ = connectivity_union_find(&g);
         });
         assert!(
             peak <= bound,
@@ -199,6 +198,66 @@ fn sharded_connectivity_peak_fits_its_admission_estimate() {
     assert!(
         peaks[1] as f64 <= 1.5 * peaks[0] as f64,
         "peaks {peaks:?} grew with m"
+    );
+}
+
+/// Serve `sources` as one BFS batch through a one-worker service and return
+/// the window's peak heap (the returned level vectors, held until the window
+/// closes, included) and the reservation the worker acquired for the batch:
+/// with measured admission off and the default budget that is exactly
+/// `batch_estimate_for`. The service starts before the window opens; the
+/// linger holds the batch open until every source is queued.
+fn served_bfs_batch_peak<G: Sharded + Send + Sync + 'static>(
+    g: G,
+    sources: &[sage_graph::V],
+) -> (u64, u64) {
+    use sage_serve::{Query, ServiceBuilder};
+    let service = ServiceBuilder::new()
+        .workers(1)
+        .max_batch(sources.len())
+        .linger(std::time::Duration::from_secs(5))
+        .measured_admission(false)
+        .start(g);
+    let mut results = Vec::new();
+    let peak = peak_of(|| {
+        let tickets: Vec<_> = sources
+            .iter()
+            .map(|&src| service.submit(Query::Bfs { src }))
+            .collect();
+        results = tickets.into_iter().map(|t| t.wait()).collect();
+    });
+    let stats = service.stats();
+    assert_eq!(
+        (stats.batches, stats.peak_batch),
+        (1, sources.len() as u64),
+        "the sources must run as one batch"
+    );
+    (peak, stats.peak_inflight_bytes)
+}
+
+/// A sharded BFS batch runs the same `msbfs_levels` as a monolithic one, its
+/// shard attribution coming from the storage layer: its peak fits the
+/// estimate the service acquires for it and exceeds the monolithic batch's
+/// by at most a page per shard (the partitioned scope's part meters). A
+/// shard-aware round loop that allocates `O(Σdeg)` slots per round would
+/// fail the second bound.
+#[test]
+fn sharded_bfs_batch_peak_matches_the_monolithic_batch() {
+    let _serial = serial();
+    let csr = gen::rmat(14, 16, gen::RmatParams::web(), 6);
+    let n = csr.num_vertices() as sage_graph::V;
+    let sources: Vec<sage_graph::V> = (0..32).map(|i| (i * 977) % n).collect();
+    let sharded = ShardedCsr::from_csr(&csr, 4);
+    assert_eq!(sharded.num_shards(), 4);
+    let (mono, _) = served_bfs_batch_peak(csr, &sources);
+    let (peak, estimate) = served_bfs_batch_peak(sharded, &sources);
+    assert!(
+        peak <= estimate,
+        "sharded batch peak {peak} B over its admission estimate {estimate} B"
+    );
+    assert!(
+        peak <= mono + 4 * 4096,
+        "sharded batch peak {peak} B over the monolithic {mono} B + a page per shard"
     );
 }
 

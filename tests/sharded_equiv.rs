@@ -5,8 +5,9 @@
 //! `start_sharded` or `start` alike, batched or unbatched, at shard counts
 //! 1, 2, and 7. Results on more than one shard additionally carry one
 //! per-shard traffic breakdown per shard (none on one shard), whose
-//! invariants — `graph_write == 0`, and per-shard snapshots never summing
-//! past the query's attributed total — are asserted on every served query.
+//! invariants — `graph_write == 0`, per-shard snapshots never summing past
+//! the query's attributed total, and per-shard graph reads summing to it
+//! exactly — are asserted on every served query.
 
 use proptest::prelude::*;
 use sage::serve::BatchPolicy;
@@ -56,7 +57,9 @@ fn query_mix(n: usize) -> Vec<Query> {
 /// PSAM + attribution invariants every served query must satisfy, sharded
 /// or not: the immutable snapshot is never written, and when a per-shard
 /// breakdown is present it never sums past the query's own traffic (the
-/// difference being residual scatter-gather work outside any shard).
+/// difference being residual DRAM work outside any shard) — and, since the
+/// storage layer reads every graph word inside some shard, its graph reads
+/// sum to the query's exactly.
 fn check_result(r: &QueryResult) -> Result<Response, TestCaseError> {
     prop_assert_eq!(r.traffic.graph_write, 0, "served query wrote the graph");
     if !r.per_shard.is_empty() {
@@ -64,7 +67,7 @@ fn check_result(r: &QueryResult) -> Result<Response, TestCaseError> {
             .per_shard
             .iter()
             .fold(MeterSnapshot::default(), |acc, s| acc.plus(s));
-        prop_assert!(sum.graph_read <= r.traffic.graph_read);
+        prop_assert_eq!(sum.graph_read, r.traffic.graph_read);
         prop_assert!(sum.graph_write <= r.traffic.graph_write);
         prop_assert!(sum.aux_read <= r.traffic.aux_read);
         prop_assert!(sum.aux_write <= r.traffic.aux_write);
