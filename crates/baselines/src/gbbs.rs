@@ -22,7 +22,6 @@ pub fn gbbs_opts() -> EdgeMapOpts {
     EdgeMapOpts {
         strategy: Strategy::Auto,
         sparse_impl: SparseImpl::Blocked,
-        dense_threshold_den: 20,
     }
 }
 

@@ -21,7 +21,6 @@ fn bench_edgemap_variants(c: &mut Criterion) {
             let opts = EdgeMapOpts {
                 strategy: Strategy::Auto,
                 sparse_impl: si,
-                dense_threshold_den: 20,
             };
             b.iter(|| sage_core::algo::bfs::bfs_with_opts(&g, 0, opts));
         });
@@ -61,7 +60,6 @@ fn bench_dense_vs_sparse_rounds(c: &mut Criterion) {
             let opts = EdgeMapOpts {
                 strategy: strat,
                 sparse_impl: SparseImpl::Chunked,
-                dense_threshold_den: 20,
             };
             b.iter(|| sage_core::algo::bfs::bfs_with_opts(&g, 0, opts));
         });

@@ -45,7 +45,6 @@ fn run_gbbs_problem<G: Graph, GW: Graph>(
             let opts = EdgeMapOpts {
                 strategy: Strategy::Auto,
                 sparse_impl: SparseImpl::Blocked,
-                dense_threshold_den: 20,
             };
             let (_, r) = timed(name, || sage_core::algo::bfs::bfs_with_opts(g, src, opts));
             r
@@ -497,7 +496,6 @@ pub fn table5() {
             let opts = EdgeMapOpts {
                 strategy: strat,
                 sparse_impl: si,
-                dense_threshold_den: 20,
             };
             alloc_track::reset_peak();
             let before = alloc_track::current_bytes();

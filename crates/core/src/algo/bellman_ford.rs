@@ -118,13 +118,4 @@ mod tests {
         let g = build_csr(list, BuildOptions::default());
         assert_eq!(bellman_ford(&g, 0).unwrap(), seq::dijkstra(&g, 0));
     }
-
-    #[test]
-    fn zero_nvram_writes() {
-        use sage_nvram::Meter;
-        let g = weighted(8, 3);
-        let before = Meter::global().snapshot();
-        let _ = bellman_ford(&g, 0);
-        assert_eq!(Meter::global().snapshot().since(&before).graph_write, 0);
-    }
 }

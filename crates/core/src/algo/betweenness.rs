@@ -159,13 +159,4 @@ mod tests {
         assert_eq!(d[1], 4.0);
         assert_eq!(d[5], 0.0);
     }
-
-    #[test]
-    fn zero_nvram_writes() {
-        use sage_nvram::Meter;
-        let g = gen::rmat(8, 8, gen::RmatParams::default(), 25);
-        let before = Meter::global().snapshot();
-        let _ = betweenness(&g, 0);
-        assert_eq!(Meter::global().snapshot().since(&before).graph_write, 0);
-    }
 }

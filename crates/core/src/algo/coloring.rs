@@ -130,13 +130,4 @@ mod tests {
         let c = coloring(&g, 5);
         seq::check_coloring(&csr, &c).unwrap();
     }
-
-    #[test]
-    fn zero_nvram_writes() {
-        use sage_nvram::Meter;
-        let g = gen::rmat(8, 8, gen::RmatParams::default(), 105);
-        let before = Meter::global().snapshot();
-        let _ = coloring(&g, 6);
-        assert_eq!(Meter::global().snapshot().since(&before).graph_write, 0);
-    }
 }

@@ -227,15 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_nvram_writes() {
-        use sage_nvram::Meter;
-        let g = gen::rmat(9, 8, gen::RmatParams::default(), 49);
-        let before = Meter::global().snapshot();
-        let _ = connectivity(&g, 0.2, 5);
-        assert_eq!(Meter::global().snapshot().since(&before).graph_write, 0);
-    }
-
-    #[test]
     fn union_find_labels_are_component_minima_on_any_shard_count() {
         let g = gen::rmat(9, 6, gen::RmatParams::default(), 12);
         let want = seq::components(&g);

@@ -115,32 +115,32 @@ fn peel<G: Graph>(g: &G, eps: f64) -> DensestResult {
     }
 }
 
-/// Exact density of an induced subgraph (test / verification helper).
-pub fn density_of<G: Graph>(g: &G, subset: &[V]) -> f64 {
-    if subset.is_empty() {
-        return 0.0;
-    }
-    let mut inset = vec![false; g.num_vertices()];
-    for &v in subset {
-        inset[v as usize] = true;
-    }
-    let directed = par::reduce_add(0, subset.len(), |i| {
-        let mut c = 0u64;
-        g.for_each_edge(subset[i], |u, _| {
-            if inset[u as usize] {
-                c += 1;
-            }
-        });
-        c
-    });
-    directed as f64 / 2.0 / subset.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::seq;
     use sage_graph::gen;
+
+    /// Exact density of an induced subgraph.
+    fn density_of<G: Graph>(g: &G, subset: &[V]) -> f64 {
+        if subset.is_empty() {
+            return 0.0;
+        }
+        let mut inset = vec![false; g.num_vertices()];
+        for &v in subset {
+            inset[v as usize] = true;
+        }
+        let directed = par::reduce_add(0, subset.len(), |i| {
+            let mut c = 0u64;
+            g.for_each_edge(subset[i], |u, _| {
+                if inset[u as usize] {
+                    c += 1;
+                }
+            });
+            c
+        });
+        directed as f64 / 2.0 / subset.len() as f64
+    }
 
     #[test]
     fn reported_density_matches_subset() {
@@ -203,14 +203,5 @@ mod tests {
             "cycle density {}",
             r.density
         );
-    }
-
-    #[test]
-    fn zero_nvram_writes() {
-        use sage_nvram::Meter;
-        let g = gen::rmat(8, 8, gen::RmatParams::default(), 125);
-        let before = Meter::global().snapshot();
-        let _ = densest_subgraph(&g, 0.1);
-        assert_eq!(Meter::global().snapshot().since(&before).graph_write, 0);
     }
 }

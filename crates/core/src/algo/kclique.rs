@@ -152,13 +152,4 @@ mod tests {
         assert_eq!(kclique_count(&g, 1), 10);
         assert_eq!(kclique_count(&g, 2), 9);
     }
-
-    #[test]
-    fn zero_nvram_writes() {
-        use sage_nvram::Meter;
-        let g = gen::rmat(7, 8, gen::RmatParams::default(), 153);
-        let before = Meter::global().snapshot();
-        let _ = kclique_count(&g, 4);
-        assert_eq!(Meter::global().snapshot().since(&before).graph_write, 0);
-    }
 }

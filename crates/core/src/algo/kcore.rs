@@ -230,15 +230,6 @@ mod tests {
         assert_eq!(r.coreness, seq::coreness(&g));
     }
 
-    #[test]
-    fn zero_nvram_writes() {
-        use sage_nvram::Meter;
-        let g = gen::rmat(8, 8, gen::RmatParams::default(), 115);
-        let before = Meter::global().snapshot();
-        let _ = kcore(&g);
-        assert_eq!(Meter::global().snapshot().since(&before).graph_write, 0);
-    }
-
     /// The truncated peel equals the full decomposition clamped at the
     /// threshold — for every threshold, including 0 and past-kmax ones —
     /// and never does more rounds than the full peel.

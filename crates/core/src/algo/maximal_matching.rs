@@ -114,13 +114,4 @@ mod tests {
         );
         assert!(maximal_matching(&g, 6).iter().all(|&m| m == NONE_V));
     }
-
-    #[test]
-    fn zero_nvram_writes() {
-        use sage_nvram::Meter;
-        let g = gen::rmat(8, 8, gen::RmatParams::default(), 95);
-        let before = Meter::global().snapshot();
-        let _ = maximal_matching(&g, 7);
-        assert_eq!(Meter::global().snapshot().since(&before).graph_write, 0);
-    }
 }

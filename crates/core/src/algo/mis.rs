@@ -129,13 +129,4 @@ mod tests {
             seq::check_maximal_independent_set(&g, &mis(&g, seed)).unwrap();
         }
     }
-
-    #[test]
-    fn zero_nvram_writes() {
-        use sage_nvram::Meter;
-        let g = gen::rmat(9, 8, gen::RmatParams::default(), 85);
-        let before = Meter::global().snapshot();
-        let _ = mis(&g, 8);
-        assert_eq!(Meter::global().snapshot().since(&before).graph_write, 0);
-    }
 }

@@ -1,5 +1,8 @@
-//! The 18 graph problems of Table 1, implemented PSAM-style: no writes to the
-//! graph, `O(n)` (or `O(n + m/log n)`) words of DRAM state.
+//! The 18 graph problems of Table 1 plus two extensions (batched multi-source
+//! BFS and k-clique counting), implemented PSAM-style: no writes to the
+//! graph, `O(n)` (or `O(n + m/log n)`) words of DRAM state. The no-write half
+//! is one table-driven test, `crates/core/tests/psam_contract.rs`, which runs
+//! every public entry point below on plain, compressed and sharded graphs.
 //!
 //! | Module | Problem(s) | Technique |
 //! |---|---|---|
@@ -34,7 +37,6 @@ pub mod densest_subgraph;
 pub mod kclique;
 pub mod kcore;
 pub mod ldd;
-pub mod local;
 pub mod maximal_matching;
 pub mod mis;
 pub mod msbfs;

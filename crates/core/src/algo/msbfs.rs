@@ -14,15 +14,12 @@
 //!
 //! The traversal is threaded through the ordinary [`edge_map`] machinery
 //! (direction optimization included) by an [`EdgeMapFn`] over atomic mask
-//! arrays, and results are delivered through a **generic per-vertex
-//! payload**: an [`MsBfsVisit`] sink observes `(vertex, newly arrived source
-//! bits, round)` exactly once per (source, vertex) pair, so callers can
-//! materialize distances, membership bits, or counters without the core
-//! paying for state it does not need. [`msbfs_levels`] is the ready-made
-//! distance payload used by the serving layer; its output is bit-for-bit
-//! identical to running [`bfs_levels`](crate::algo::bfs::bfs_levels) once
-//! per source (BFS distances are deterministic even though parent choices
-//! are not).
+//! arrays. Each round, the source bits newly arriving at a vertex — exactly
+//! once per (source, vertex) pair over the run — are written as that round's
+//! distance into per-source level arrays, so [`msbfs_levels`] (the serving
+//! layer's batched BFS) is bit-for-bit identical to running
+//! [`bfs_levels`](crate::algo::bfs::bfs_levels) once per source (BFS
+//! distances are deterministic even though parent choices are not).
 
 use crate::edge_map::{edge_map, EdgeMapFn, EdgeMapOpts};
 use crate::vertex_subset::VertexSubset;
@@ -34,35 +31,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Maximum number of sources per batched traversal: one bit of a `u64` mask
 /// per source.
 pub const MAX_SOURCES: usize = 64;
-
-/// Per-vertex payload sink for a multi-source traversal.
-///
-/// [`visit`](MsBfsVisit::visit) is called once per vertex per round in which
-/// that vertex receives previously unseen source bits — i.e. exactly once per
-/// `(source, vertex)` reachable pair over the whole run, from parallel
-/// contexts (distinct vertices concurrently, never the same vertex twice in
-/// one round).
-pub trait MsBfsVisit: Sync {
-    /// `new_bits` are the sources whose BFS first reaches `v` at `round`
-    /// (round 0 = the seed itself).
-    fn visit(&self, v: V, new_bits: u64, round: u32);
-}
-
-/// A visitor that discards the payload (membership comes from
-/// [`MsBfsOutcome::seen`] alone).
-pub struct NoPayload;
-
-impl MsBfsVisit for NoPayload {
-    fn visit(&self, _v: V, _new_bits: u64, _round: u32) {}
-}
-
-/// Result of a mask-level multi-source traversal.
-pub struct MsBfsOutcome {
-    /// `seen[v]` bit `i` set ⇔ source `i` reaches vertex `v`.
-    pub seen: Vec<u64>,
-    /// Traversal rounds executed (the largest finite BFS distance).
-    pub rounds: usize,
-}
 
 /// The [`EdgeMapFn`] of the bit-parallel traversal: propagate the source
 /// masks of the current frontier (`cur`) into `next`, masking off bits the
@@ -108,22 +76,42 @@ impl EdgeMapFn for MsBfsFn<'_> {
     }
 }
 
-/// Run up to [`MAX_SOURCES`] BFS traversals as one bit-parallel sweep,
-/// delivering per-vertex arrivals to `visitor`.
+/// Distances (and reach counts) of a batched multi-source BFS.
+pub struct MsLevels {
+    /// `levels[i][v]` is the BFS distance from `sources[i]` to `v`
+    /// (`u64::MAX` = unreachable) — identical to
+    /// [`bfs_levels`](crate::algo::bfs::bfs_levels) run per source.
+    pub levels: Vec<Vec<u64>>,
+    /// Vertices reached per source (including the source itself) — the
+    /// touched-word share a serving batch splits its metered cost by.
+    pub reached: Vec<usize>,
+    /// Final per-vertex source masks.
+    pub seen: Vec<u64>,
+    /// Traversal rounds executed.
+    pub rounds: usize,
+}
+
+/// Multi-source BFS distances: up to [`MAX_SOURCES`] BFS traversals run as
+/// one bit-parallel sweep.
 ///
 /// Duplicate source vertices are allowed (each still owns its own mask bit).
 /// DRAM footprint of the traversal state is three `n`-word mask arrays plus
-/// the frontier — independent of the number of sources.
+/// the frontier — independent of the number of sources — beside the `k`
+/// output level arrays.
 ///
 /// # Panics
 /// Panics if `sources` is empty, longer than [`MAX_SOURCES`], or references
 /// a vertex outside the graph.
-pub fn msbfs_visit<G: Graph, P: MsBfsVisit>(
+pub fn msbfs_levels<G: Graph>(g: &G, sources: &[V]) -> MsLevels {
+    msbfs_levels_with_opts(g, sources, EdgeMapOpts::default())
+}
+
+/// [`msbfs_levels`] with explicit traversal options.
+pub(crate) fn msbfs_levels_with_opts<G: Graph>(
     g: &G,
     sources: &[V],
-    visitor: &P,
     opts: EdgeMapOpts,
-) -> MsBfsOutcome {
+) -> MsLevels {
     let n = g.num_vertices();
     let k = sources.len();
     assert!(
@@ -133,6 +121,24 @@ pub fn msbfs_visit<G: Graph, P: MsBfsVisit>(
     for &s in sources {
         assert!((s as usize) < n, "msbfs source {s} out of range (n = {n})");
     }
+    let mut levels: Vec<Vec<u64>> = sources.iter().map(|_| vec![u64::MAX; n]).collect();
+    let ptrs: Vec<par::SendPtr<u64>> = levels
+        .iter_mut()
+        .map(|l| par::SendPtr(l.as_mut_ptr()))
+        .collect();
+    // Write `round` as the distance of `v` from every source in `new_bits`.
+    let record = |v: V, new_bits: u64, round: u32| {
+        let mut m = new_bits;
+        while m != 0 {
+            let b = m.trailing_zeros() as usize;
+            // SAFETY: bit `b` arrives at vertex `v` exactly once over the
+            // run, and distinct vertices are recorded from distinct tasks, so
+            // every write targets a unique slot.
+            unsafe { *ptrs[b].add(v as usize) = round as u64 };
+            m &= m - 1;
+        }
+        meter::aux_write(new_bits.count_ones() as u64);
+    };
     let seen = crate::algo::common::atomic_vec(n, 0u64);
     let cur = crate::algo::common::atomic_vec(n, 0u64);
     let next = crate::algo::common::atomic_vec(n, 0u64);
@@ -149,7 +155,7 @@ pub fn msbfs_visit<G: Graph, P: MsBfsVisit>(
         }
     }
     for &s in &roots {
-        visitor.visit(s, seen[s as usize].load(Ordering::Relaxed), 0);
+        record(s, seen[s as usize].load(Ordering::Relaxed), 0);
     }
     meter::aux_write(2 * k as u64);
 
@@ -178,80 +184,19 @@ pub fn msbfs_visit<G: Graph, P: MsBfsVisit>(
             let bits = next[v as usize].swap(0, Ordering::Relaxed);
             seen[v as usize].fetch_or(bits, Ordering::Relaxed);
             cur[v as usize].store(bits, Ordering::Relaxed);
-            visitor.visit(v, bits, r);
+            record(v, bits, r);
         });
         meter::aux_write(3 * out.len() as u64);
         frontier = out;
     }
-    MsBfsOutcome {
-        seen: crate::algo::common::unwrap_atomic(seen),
-        rounds,
-    }
-}
-
-/// Distances (and reach counts) of a batched multi-source BFS.
-pub struct MsLevels {
-    /// `levels[i][v]` is the BFS distance from `sources[i]` to `v`
-    /// (`u64::MAX` = unreachable) — identical to
-    /// [`bfs_levels`](crate::algo::bfs::bfs_levels) run per source.
-    pub levels: Vec<Vec<u64>>,
-    /// Vertices reached per source (including the source itself) — the
-    /// touched-word share a serving batch splits its metered cost by.
-    pub reached: Vec<usize>,
-    /// Final per-vertex source masks.
-    pub seen: Vec<u64>,
-    /// Traversal rounds executed.
-    pub rounds: usize,
-}
-
-/// Distance payload: scatters each arrival round into per-source level
-/// arrays through raw pointers (sound because a `(source, vertex)` pair is
-/// visited exactly once).
-pub(crate) struct LevelsSink {
-    pub(crate) ptrs: Vec<par::SendPtr<u64>>,
-}
-
-impl MsBfsVisit for LevelsSink {
-    fn visit(&self, v: V, new_bits: u64, round: u32) {
-        let mut m = new_bits;
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            // SAFETY: bit `b` arrives at vertex `v` exactly once over the
-            // run, and distinct vertices are visited from distinct tasks, so
-            // every write targets a unique slot.
-            unsafe { *self.ptrs[b].add(v as usize) = round as u64 };
-            m &= m - 1;
-        }
-        meter::aux_write(new_bits.count_ones() as u64);
-    }
-}
-
-/// Multi-source BFS distances: one traversal, up to [`MAX_SOURCES`] sources.
-pub fn msbfs_levels<G: Graph>(g: &G, sources: &[V]) -> MsLevels {
-    msbfs_levels_with_opts(g, sources, EdgeMapOpts::default())
-}
-
-/// [`msbfs_levels`] with explicit traversal options.
-pub fn msbfs_levels_with_opts<G: Graph>(g: &G, sources: &[V], opts: EdgeMapOpts) -> MsLevels {
-    let n = g.num_vertices();
-    let mut levels: Vec<Vec<u64>> = sources.iter().map(|_| vec![u64::MAX; n]).collect();
-    let sink = LevelsSink {
-        ptrs: levels
-            .iter_mut()
-            .map(|l| par::SendPtr(l.as_mut_ptr()))
-            .collect(),
-    };
-    let out = msbfs_visit(g, sources, &sink, opts);
-    let per_bit = par::count_ones_per_bit(&out.seen);
-    meter::aux_read(out.seen.len() as u64);
+    let seen = crate::algo::common::unwrap_atomic(seen);
+    let per_bit = par::count_ones_per_bit(&seen);
+    meter::aux_read(seen.len() as u64);
     MsLevels {
         levels,
-        reached: per_bit[..sources.len()]
-            .iter()
-            .map(|&c| c as usize)
-            .collect(),
-        seen: out.seen,
-        rounds: out.rounds,
+        reached: per_bit[..k].iter().map(|&c| c as usize).collect(),
+        seen,
+        rounds,
     }
 }
 
@@ -302,6 +247,15 @@ mod tests {
     }
 
     #[test]
+    fn complete_graph_reaches_every_vertex_in_one_round() {
+        let g = gen::complete(40);
+        let sources: Vec<V> = (0..8).collect();
+        check_against_single_source(&g, &sources);
+        let rounds = msbfs_levels(&g, &sources).rounds;
+        assert_eq!(rounds, 2, "diameter 1 plus the empty closing round");
+    }
+
+    #[test]
     fn disconnected_components_stay_separate() {
         let g = gen::two_cliques(6); // vertices 0..6 and 6..12
         let ms = msbfs_levels(&g, &[0, 7]);
@@ -327,7 +281,6 @@ mod tests {
                 EdgeMapOpts {
                     strategy: Strategy::ForceSparse,
                     sparse_impl: SparseImpl::Sparse,
-                    ..Default::default()
                 },
             ),
             (
@@ -335,7 +288,6 @@ mod tests {
                 EdgeMapOpts {
                     strategy: Strategy::ForceSparse,
                     sparse_impl: SparseImpl::Blocked,
-                    ..Default::default()
                 },
             ),
             (
@@ -349,42 +301,6 @@ mod tests {
             let got = msbfs_levels_with_opts(&g, &sources, opts);
             assert_eq!(got.levels, base.levels, "{name} diverged");
         }
-    }
-
-    #[test]
-    fn visitor_sees_each_pair_exactly_once() {
-        use std::sync::atomic::AtomicU64;
-        struct CountSink {
-            hits: Vec<AtomicU64>,
-        }
-        impl MsBfsVisit for CountSink {
-            fn visit(&self, v: V, new_bits: u64, _round: u32) {
-                self.hits[v as usize].fetch_add(new_bits.count_ones() as u64, Ordering::Relaxed);
-            }
-        }
-        let g = gen::complete(40);
-        let sources: Vec<V> = (0..8).collect();
-        let sink = CountSink {
-            hits: (0..40).map(|_| AtomicU64::new(0)).collect(),
-        };
-        let out = msbfs_visit(&g, &sources, &sink, EdgeMapOpts::default());
-        // Complete graph: every source reaches every vertex → 8 bits each.
-        for v in 0..40 {
-            assert_eq!(sink.hits[v].load(Ordering::Relaxed), 8, "vertex {v}");
-            assert_eq!(out.seen[v], 0xFF);
-        }
-        assert_eq!(out.rounds, 2, "diameter 1 plus the empty closing round");
-    }
-
-    #[test]
-    fn zero_nvram_writes() {
-        use sage_nvram::Meter;
-        let g = gen::rmat(9, 8, gen::RmatParams::default(), 2);
-        let before = Meter::global().snapshot();
-        let _ = msbfs_levels(&g, &[0, 1, 2, 3]);
-        let d = Meter::global().snapshot().since(&before);
-        assert_eq!(d.graph_write, 0, "MS-BFS must never write the graph");
-        assert!(d.graph_read > 0);
     }
 
     /// On a sharded snapshot the storage layer attributes every graph word:

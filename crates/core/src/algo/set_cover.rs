@@ -213,13 +213,4 @@ mod tests {
         check_cover(&g, 10, &r.sets).unwrap();
         assert_eq!(r.sets.len(), 10);
     }
-
-    #[test]
-    fn zero_nvram_writes() {
-        use sage_nvram::Meter;
-        let g = gen::set_cover_instance(30, 300, 3, 5);
-        let before = Meter::global().snapshot();
-        let _ = set_cover(&g, 30, 0.1, 4);
-        assert_eq!(Meter::global().snapshot().since(&before).graph_write, 0);
-    }
 }

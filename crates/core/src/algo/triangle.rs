@@ -126,13 +126,4 @@ mod tests {
         assert_eq!(counts[1], counts[2]);
         assert_eq!(counts[0], seq::triangle_count(&base));
     }
-
-    #[test]
-    fn zero_nvram_writes() {
-        use sage_nvram::Meter;
-        let g = gen::rmat(8, 8, gen::RmatParams::default(), 139);
-        let before = Meter::global().snapshot();
-        let _ = triangle_count(&g);
-        assert_eq!(Meter::global().snapshot().since(&before).graph_write, 0);
-    }
 }

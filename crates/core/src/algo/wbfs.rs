@@ -131,13 +131,4 @@ mod tests {
         let g = gen::path(4);
         let _ = wbfs(&g, 0);
     }
-
-    #[test]
-    fn zero_nvram_writes() {
-        use sage_nvram::Meter;
-        let g = weighted_rmat(8, 2);
-        let before = Meter::global().snapshot();
-        let _ = wbfs(&g, 0);
-        assert_eq!(Meter::global().snapshot().since(&before).graph_write, 0);
-    }
 }

@@ -182,13 +182,4 @@ mod tests {
         assert_eq!(w[2], 0);
         assert_eq!(w[3], 0);
     }
-
-    #[test]
-    fn zero_nvram_writes() {
-        use sage_nvram::Meter;
-        let g = weighted(8, 14);
-        let before = Meter::global().snapshot();
-        let _ = widest_path_bucketed(&g, 0);
-        assert_eq!(Meter::global().snapshot().since(&before).graph_write, 0);
-    }
 }

@@ -15,7 +15,9 @@
 //!   sum, using `O(n)` words of small memory (Theorem 4.1).
 //!
 //! The dense (pull) direction and Beamer-style direction optimization follow
-//! Ligra: dense is chosen when `|U| + Σ_{u∈U} deg(u) > m / 20`.
+//! Ligra: dense is chosen when `|U| + Σ_{u∈U} deg(u) > m / 20`, a fixed
+//! threshold; [`EdgeMapOpts`] selects only the direction policy and the
+//! sparse implementation.
 //!
 //! Dense traversal requires a symmetric graph (in-neighbors = out-neighbors),
 //! which holds for every input in the paper's evaluation (§5.1.3). The engine
@@ -74,16 +76,16 @@ pub struct EdgeMapOpts {
     pub strategy: Strategy,
     /// Sparse implementation.
     pub sparse_impl: SparseImpl,
-    /// Dense threshold denominator: dense when `|U| + Σdeg > m / den`.
-    pub dense_threshold_den: usize,
 }
+
+/// Ligra's `m/20`: [`Strategy::Auto`] goes dense when `|U| + Σdeg > m / 20`.
+const DENSE_THRESHOLD_DEN: usize = 20;
 
 impl Default for EdgeMapOpts {
     fn default() -> Self {
         Self {
             strategy: Strategy::Auto,
             sparse_impl: SparseImpl::Chunked,
-            dense_threshold_den: 20,
         }
     }
 }
@@ -118,7 +120,7 @@ pub fn edge_map<G: Graph, F: EdgeMapFn>(
             // skips the O(|frontier|) degree-sum estimate entirely for them.
             g.is_symmetric() && {
                 let work = frontier.len() + frontier.out_degree_sum(g);
-                work > g.num_edges() / opts.dense_threshold_den.max(1)
+                work > g.num_edges() / DENSE_THRESHOLD_DEN
             }
         }
     };
@@ -516,7 +518,6 @@ mod tests {
             EdgeMapOpts {
                 strategy: Strategy::ForceSparse,
                 sparse_impl: SparseImpl::Sparse,
-                ..Default::default()
             },
         );
         for (name, opts) in [
@@ -525,7 +526,6 @@ mod tests {
                 EdgeMapOpts {
                     strategy: Strategy::ForceSparse,
                     sparse_impl: SparseImpl::Chunked,
-                    ..Default::default()
                 },
             ),
             (
@@ -533,7 +533,6 @@ mod tests {
                 EdgeMapOpts {
                     strategy: Strategy::ForceSparse,
                     sparse_impl: SparseImpl::Blocked,
-                    ..Default::default()
                 },
             ),
             (
@@ -606,8 +605,8 @@ mod tests {
     fn auto_falls_back_to_sparse_on_asymmetric_graphs() {
         let g = directed_two_hop();
         assert!(!g.is_symmetric());
-        // The frontier {0, 1} covers the whole edge set, so the Beamer rule
-        // alone would have chosen dense; the symmetry guard must keep the
+        // The frontier {0} does work 2 > m/20 = 0, so the Beamer rule alone
+        // would have chosen dense; the symmetry guard must keep the
         // traversal on the (correct) push side.
         let parents: Vec<AtomicU64> = (0..3).map(|_| AtomicU64::new(UNVISITED)).collect();
         parents[0].store(0, Ordering::Relaxed);
@@ -616,11 +615,7 @@ mod tests {
             &g,
             &mut frontier,
             &ClaimFn { parents: &parents },
-            EdgeMapOpts {
-                strategy: Strategy::Auto,
-                dense_threshold_den: 1_000_000, // always "dense" by work
-                ..Default::default()
-            },
+            EdgeMapOpts::default(),
         );
         assert_eq!(next.as_sparse(), &[1]);
     }

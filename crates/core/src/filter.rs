@@ -5,14 +5,14 @@
 //! NVRAM graph. The graphFilter is a DRAM-resident bit-packed shadow of the
 //! adjacency structure (Figure 5): each vertex's incident edges are divided
 //! into blocks of `FB` bits (one bit per edge, `FB` = the graph's block size,
-//! a multiple of 64); each block stores two words of metadata — its original
-//! block id and the number of active edges preceding it within the vertex.
-//! Once at least half of a vertex's blocks are empty, the empty blocks are
-//! physically packed out (within the vertex's original region) to preserve
-//! work-efficiency.
+//! a multiple of 64); each block stores one word of metadata, its original
+//! block id. Once at least half of a vertex's blocks are empty, the empty
+//! blocks are physically packed out (within the vertex's original region) to
+//! preserve work-efficiency.
 //!
-//! Total memory: `3n` words of per-vertex data plus `O(m)` *bits*, i.e.
-//! `O(n + m/log n)` words — the relaxed PSAM budget (§4.2.3).
+//! Total memory: three per-vertex arrays (region start, block count, active
+//! degree) plus one block id and `FB` bits per block, i.e. `O(n + m/log n)`
+//! words — the relaxed PSAM budget (§4.2.3).
 //!
 //! The filter itself implements [`Graph`], so every Sage traversal
 //! (including `edgeMapChunked`) runs unchanged over a filtered graph; this is
@@ -22,7 +22,6 @@
 use sage_graph::{Graph, V};
 use sage_nvram::meter;
 use sage_parallel as par;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A bit-packed filter over an immutable graph. See module docs.
 pub struct GraphFilter<'g, G: Graph> {
@@ -38,13 +37,8 @@ pub struct GraphFilter<'g, G: Graph> {
     vblocks: Vec<u32>,
     /// Current number of active edges per vertex.
     vdeg: Vec<u32>,
-    /// Dirty marks: vertex `v` is dirty when a mirror edge `(u,v)` was
-    /// deleted from `u`'s list but `(v,u)` may still be active (§4.2.2).
-    dirty: Vec<AtomicBool>,
     /// Original block id per block slot.
     block_orig: Vec<u32>,
-    /// Active edges preceding each block within its vertex.
-    block_offset: Vec<u32>,
     /// Bitset words, `wpb` per block slot.
     bits: Vec<u64>,
     /// Whether deletions are mirrored (symmetric predicate, §4.2).
@@ -75,14 +69,11 @@ impl<'g, G: Graph> GraphFilter<'g, G> {
 
         let vblocks: Vec<u32> = par::par_map(n, |v| g.num_blocks_of(v as V) as u32);
         let vdeg: Vec<u32> = par::par_map(n, |v| g.degree(v as V) as u32);
-        let dirty: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
 
         let mut block_orig = vec![0u32; total_blocks];
-        let mut block_offset = vec![0u32; total_blocks];
         let mut bits = vec![0u64; total_blocks * wpb];
         {
             let op = par::SendPtr(block_orig.as_mut_ptr());
-            let fp = par::SendPtr(block_offset.as_mut_ptr());
             let bp = par::SendPtr(bits.as_mut_ptr());
             let vstart_ref: &[u64] = &vstart;
             par::par_for(0, n, |vi| {
@@ -94,7 +85,6 @@ impl<'g, G: Graph> GraphFilter<'g, G> {
                     // SAFETY: slot ranges are disjoint per vertex.
                     unsafe {
                         *op.add(base + b) = b as u32;
-                        *fp.add(base + b) = (b * fb) as u32;
                         let w = bp.add((base + b) * wpb);
                         for wi in 0..wpb {
                             let bits_here = (in_block.saturating_sub(wi * 64)).min(64);
@@ -110,7 +100,7 @@ impl<'g, G: Graph> GraphFilter<'g, G> {
                 }
             });
         }
-        meter::aux_write((total_blocks * (wpb + 2) + 3 * n) as u64);
+        meter::aux_write((total_blocks * (wpb + 1) + 3 * n) as u64);
         let m_active = g.num_edges() as u64;
         Self {
             g,
@@ -119,9 +109,7 @@ impl<'g, G: Graph> GraphFilter<'g, G> {
             vstart,
             vblocks,
             vdeg,
-            dirty,
             block_orig,
-            block_offset,
             bits,
             symmetric,
             m_active,
@@ -144,20 +132,8 @@ impl<'g, G: Graph> GraphFilter<'g, G> {
         self.vstart.len() * 8
             + self.vblocks.len() * 4
             + self.vdeg.len() * 4
-            + self.dirty.len()
             + self.block_orig.len() * 4
-            + self.block_offset.len() * 4
             + self.bits.len() * 8
-    }
-
-    /// Vertices marked dirty by mirror deletions since the last clear.
-    pub fn take_dirty(&mut self) -> Vec<V> {
-        let dirty = &self.dirty;
-        let ids = par::pack_index(dirty.len(), |v| dirty[v].load(Ordering::Relaxed));
-        for &v in &ids {
-            dirty[v as usize].store(false, Ordering::Relaxed);
-        }
-        ids
     }
 
     #[inline]
@@ -240,10 +216,20 @@ impl<'g, G: Graph> GraphFilter<'g, G> {
     /// `pred(v, u, w)` returns `false`; compact empty blocks when at least
     /// half are empty. Returns the vertex's new active degree.
     ///
+    /// Every read and write of the bitset and the block ids goes through
+    /// `bits` and `orig`, which [`Self::edge_map_pack`] takes from
+    /// `&mut self`; `&self` is used only for the other arrays.
+    ///
     /// # Safety-by-contract
     /// Callers must not pack the same vertex from two threads; the public
     /// batch operations guarantee this by iterating distinct vertices.
-    fn pack_vertex<P>(&self, v: V, pred: &P) -> (u32, u32)
+    fn pack_vertex<P>(
+        &self,
+        v: V,
+        pred: &P,
+        bits: par::SendPtr<u64>,
+        orig: par::SendPtr<u32>,
+    ) -> (u32, u32)
     where
         P: Fn(V, V, u32) -> bool + Sync,
     {
@@ -252,33 +238,31 @@ impl<'g, G: Graph> GraphFilter<'g, G> {
         if nb == 0 {
             return (0, 0);
         }
-        let bits_ptr = par::SendPtr(self.bits.as_ptr() as *mut u64);
-        let orig_ptr = par::SendPtr(self.block_orig.as_ptr() as *mut u32);
-        let off_ptr = par::SendPtr(self.block_offset.as_ptr() as *mut u32);
         let wpb = self.wpb;
 
         // Phase 1: apply the predicate to each block (parallel across blocks
         // for high-degree vertices, §4.2.2), collecting per-block live counts.
         let counts: Vec<u32> = par::par_map_grain(nb, 8, |bi| {
             let slot = base + bi;
-            let orig = self.block_orig[slot];
+            // SAFETY: `orig` comes from `block_orig.as_mut_ptr()` under
+            // `&mut self`, and `slot` lies in this vertex's region, which
+            // only this block task touches.
+            let orig_block = unsafe { *orig.add(slot) };
             let mut live = 0u32;
             let mut deleted = 0u32;
-            self.g.decode_block(v, orig as usize, |i, d, w| {
+            self.g.decode_block(v, orig_block as usize, |i, d, w| {
                 let wi = (i / 64) as usize;
                 let mask = 1u64 << (i % 64);
-                // SAFETY: slot `slot` is owned by this block task.
+                // SAFETY: `bits` comes from `bits.as_mut_ptr()` under
+                // `&mut self`; slot `slot` is owned by this block task.
                 unsafe {
-                    let wptr = bits_ptr.add(slot * wpb + wi);
+                    let wptr = bits.add(slot * wpb + wi);
                     if *wptr & mask != 0 {
                         if pred(v, d, w) {
                             live += 1;
                         } else {
                             *wptr &= !mask;
                             deleted += 1;
-                            if self.symmetric {
-                                self.dirty[d as usize].store(true, Ordering::Relaxed);
-                            }
                         }
                     }
                 }
@@ -294,34 +278,24 @@ impl<'g, G: Graph> GraphFilter<'g, G> {
         // Phase 2: pack out empty blocks once at least half are empty.
         let new_nb = if live_blocks < nb.div_ceil(2) {
             let mut at = 0usize;
-            let mut offset = 0u32;
             for (bi, &cnt) in counts.iter().enumerate() {
                 if cnt == 0 {
                     continue;
                 }
                 let src = base + bi;
                 let dst = base + at;
-                // SAFETY: this vertex's region is exclusively ours; dst <= src.
+                // SAFETY: both pointers come from `as_mut_ptr()` under
+                // `&mut self`; this vertex's region is exclusively ours and
+                // `dst <= src`, so `ptr::copy` handles the (empty) overlap.
                 unsafe {
-                    *orig_ptr.add(dst) = self.block_orig[src];
-                    *off_ptr.add(dst) = offset;
-                    for wi in 0..wpb {
-                        *bits_ptr.add(dst * wpb + wi) = self.bits[src * wpb + wi];
-                    }
+                    *orig.add(dst) = *orig.add(src);
+                    std::ptr::copy(bits.add(src * wpb), bits.add(dst * wpb), wpb);
                 }
-                offset += cnt;
                 at += 1;
             }
-            meter::aux_write((at * (wpb + 2)) as u64);
+            meter::aux_write((at * (wpb + 1)) as u64);
             at
         } else {
-            // Keep the block layout; refresh offsets only.
-            let mut offset = 0u32;
-            for (bi, &c) in counts.iter().enumerate() {
-                // SAFETY: exclusive vertex region.
-                unsafe { *off_ptr.add(base + bi) = offset };
-                offset += c;
-            }
             nb
         };
 
@@ -342,8 +316,12 @@ impl<'g, G: Graph> GraphFilter<'g, G> {
             },
             "edge_map_pack requires distinct vertices"
         );
-        let results: Vec<(u32, u32)> =
-            par::par_map_grain(subset.len(), 4, |i| self.pack_vertex(subset[i], &pred));
+        let bits = par::SendPtr(self.bits.as_mut_ptr());
+        let orig = par::SendPtr(self.block_orig.as_mut_ptr());
+        let this = &*self;
+        let results: Vec<(u32, u32)> = par::par_map_grain(subset.len(), 4, |i| {
+            this.pack_vertex(subset[i], &pred, bits, orig)
+        });
         let mut delta = 0i64;
         for (i, &(deg, nb)) in results.iter().enumerate() {
             let v = subset[i] as usize;
@@ -555,17 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_bits_mark_mirror_endpoints() {
-        let g = gen::path(10); // 0-1-2-...-9
-        let mut f = GraphFilter::new(&g, true);
-        // Delete edges out of vertex 5 only.
-        f.edge_map_pack(&[5], |_, _, _| false);
-        let dirty = f.take_dirty();
-        assert_eq!(dirty, vec![4, 6]);
-        assert!(f.take_dirty().is_empty(), "dirty bits cleared after take");
-    }
-
-    #[test]
     fn filter_works_over_compressed_graphs() {
         let csr = gen::rmat(9, 10, gen::RmatParams::web(), 7);
         let g = CompressedCsr::from_csr(&csr, 64);
@@ -581,7 +548,7 @@ mod tests {
     fn filter_is_a_graph_and_traversable() {
         use crate::edge_map::{edge_map, ClaimFn, EdgeMapOpts, UNVISITED};
         use crate::vertex_subset::VertexSubset;
-        use std::sync::atomic::AtomicU64;
+        use std::sync::atomic::{AtomicU64, Ordering};
 
         let g = gen::cycle(64);
         let mut f = GraphFilter::new(&g, true);
@@ -599,23 +566,6 @@ mod tests {
         }
         assert_eq!(rounds, 64, "path of 63 edges plus final empty round");
         assert_eq!(parents[63].load(Ordering::Relaxed), 62);
-    }
-
-    #[test]
-    fn block_offsets_are_prefix_counts() {
-        let g = gen::star(300); // vertex 0 has 299 neighbors -> 5 blocks at FB=64
-        let mut f = GraphFilter::new(&g, false);
-        f.filter_edges(|_, d, _| d % 3 == 1);
-        // Walk vertex 0's blocks and check offsets match running counts.
-        let mut running = 0u32;
-        for bi in 0..f.num_blocks_of(0) {
-            let slot = f.vstart[0] as usize + bi;
-            assert_eq!(f.block_offset[slot], running);
-            let mut in_block = 0;
-            f.decode_block(0, bi, |_, _, _| in_block += 1);
-            running += in_block;
-        }
-        assert_eq!(running, f.degree(0) as u32);
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl VertexSubset {
         self.len() == 0
     }
 
-    /// Whether the subset currently holds a dense representation.
-    pub fn is_dense(&self) -> bool {
-        matches!(self.repr, Repr::Dense { .. })
-    }
-
     /// Membership test (`O(1)` dense, `O(len)` sparse).
     pub fn contains(&self, v: V) -> bool {
         match &self.repr {
@@ -215,7 +210,10 @@ impl std::fmt::Debug for VertexSubset {
             "VertexSubset(n={}, len={}, {})",
             self.n,
             self.len(),
-            if self.is_dense() { "dense" } else { "sparse" }
+            match self.repr {
+                Repr::Dense { .. } => "dense",
+                Repr::Sparse(_) => "sparse",
+            }
         )
     }
 }
@@ -239,7 +237,7 @@ mod tests {
     #[test]
     fn sparse_dense_roundtrip() {
         let mut s = VertexSubset::from_sparse(100, vec![5, 50, 99]);
-        assert!(!s.is_dense());
+        assert!(matches!(s.repr, Repr::Sparse(_)));
         let flags = s.as_dense();
         assert!(flags[5] && flags[50] && flags[99]);
         assert_eq!(s.len(), 3);

@@ -12,13 +12,13 @@
 //! the histogram counts inline and the buckets apply inline (what almost
 //! every round of a real peel is), and one sized from [`SEQ_BATCH`] that
 //! provably takes the parallel histogram and the parallel batch path (the
-//! path counters say so). Everything lives in this one test function, alone
-//! in its binary, so no concurrently running test pollutes the global meter
-//! deltas or the path counters.
+//! path counters say so). Each round's words are read from its own
+//! `MeterScope`, and the test is alone in its binary, so no concurrently
+//! running test moves the path counters.
 
 use sage_core::bucket::{self, Buckets, Order, Packing, SEQ_BATCH};
 use sage_graph::V;
-use sage_nvram::{meter, Meter};
+use sage_nvram::{meter, MeterScope};
 use sage_parallel::{hash64, histogram, Histogram};
 
 /// Neighbors emitted per peeled vertex.
@@ -51,27 +51,29 @@ fn peeling_rounds_perform_sublinear_aux_work_on_both_paths() {
         let hist_paths = histogram::path_calls();
         let bucket_paths = bucket::path_calls();
         // ---- One peeling round, fully metered. ----
-        let before = Meter::global().snapshot();
+        let scope = MeterScope::new();
+        let (total_keys, moves) = scope.enter(|| {
+            let (k, ids) = buckets.next_bucket().expect("low buckets first");
+            assert_eq!((k, ids.len()), (key, len));
 
-        let (k, ids) = buckets.next_bucket().expect("low buckets first");
-        assert_eq!((k, ids.len()), (key, len));
+            // Histogram of a synthetic peeled neighborhood (FANOUT unpeeled
+            // neighbors per peeled vertex), exactly how kcore accounts it.
+            let total_keys = FANOUT * ids.len();
+            let counts = hist.count(ids.len(), total_keys, n, |i, emit| {
+                for j in 0..FANOUT as u64 {
+                    let u = hash64(ids[i] as u64 * FANOUT as u64 + j) % (n - peeled) as u64;
+                    emit((peeled as u64 + u) as u32);
+                }
+            });
+            meter::aux_read(hist.last_work());
 
-        // Histogram of a synthetic peeled neighborhood (FANOUT unpeeled
-        // neighbors per peeled vertex), exactly how kcore accounts it.
-        let total_keys = FANOUT * ids.len();
-        let counts = hist.count(ids.len(), total_keys, n, |i, emit| {
-            for j in 0..FANOUT as u64 {
-                let u = hash64(ids[i] as u64 * FANOUT as u64 + j) % (n - peeled) as u64;
-                emit((peeled as u64 + u) as u32);
-            }
+            // Re-bucket the decremented neighbors as one batch.
+            let updates: Vec<(V, u64)> = counts.iter().map(|&(u, c)| (u, far - c as u64)).collect();
+            buckets.update_batch_distinct(&updates);
+            (total_keys, updates.len())
         });
-        meter::aux_read(hist.last_work());
 
-        // Re-bucket the decremented neighbors as one batch.
-        let updates: Vec<(V, u64)> = counts.iter().map(|&(u, c)| (u, far - c as u64)).collect();
-        buckets.update_batch_distinct(&updates);
-
-        let delta = Meter::global().snapshot().since(&before);
+        let delta = scope.snapshot();
         let round_work = delta.aux_read + delta.aux_write;
 
         // Which side of the cutoffs the round ran on, from the engine's own
@@ -88,7 +90,7 @@ fn peeling_rounds_perform_sublinear_aux_work_on_both_paths() {
             if parallel { (0, 1, 0, 1) } else { (1, 0, 1, 0) },
             "round of {len} took the wrong path ({} keys, {} moves)",
             total_keys,
-            updates.len()
+            moves
         );
 
         // The whole round must cost o(n): a small multiple of the peeled

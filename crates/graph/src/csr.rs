@@ -138,15 +138,6 @@ impl Csr {
         self.edges.is_nvram()
     }
 
-    /// Override the logical block size (must be a positive multiple of 64).
-    pub fn set_block_size(&mut self, block_size: usize) {
-        assert!(
-            block_size >= 64 && block_size % 64 == 0,
-            "block size must be a multiple of 64"
-        );
-        self.block_size = block_size;
-    }
-
     /// Borrow the offsets array.
     pub fn offsets(&self) -> &[u64] {
         &self.offsets

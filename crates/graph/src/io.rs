@@ -1,5 +1,4 @@
-//! Graph persistence: a binary format loadable zero-copy from mapped NVRAM,
-//! plus the Ligra `AdjacencyGraph` text format for interoperability.
+//! Graph persistence: a binary format loadable zero-copy from mapped NVRAM.
 //!
 //! The binary layout keeps every array 8-byte aligned so that an
 //! [`NvRegion`] can hand out typed slices directly — this is the reproduction
@@ -12,7 +11,7 @@ use crate::sharded::{ShardRepr, Sharded, ShardedCsr};
 use crate::{Graph, V};
 use sage_nvram::NvRegion;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 const MAGIC: u64 = 0x5341_4745_4752_0031; // "SAGEGR\0 1"
@@ -547,99 +546,6 @@ fn load_shard(path: &Path, placement: Placement, global_n: usize) -> io::Result<
     }
 }
 
-/// Write the Ligra `AdjacencyGraph` text format.
-pub fn write_adjacency_text(g: &Csr, path: &Path) -> io::Result<()> {
-    let mut out = BufWriter::new(File::create(path)?);
-    let n = g.num_vertices();
-    let m = g.num_edges();
-    writeln!(
-        out,
-        "{}",
-        if g.is_weighted() {
-            "WeightedAdjacencyGraph"
-        } else {
-            "AdjacencyGraph"
-        }
-    )?;
-    writeln!(out, "{n}")?;
-    writeln!(out, "{m}")?;
-    for v in 0..n {
-        writeln!(out, "{}", g.offsets()[v])?;
-    }
-    for v in 0..n as V {
-        for i in 0..g.degree(v) {
-            writeln!(out, "{}", g.neighbor_at(v, i))?;
-        }
-    }
-    if g.is_weighted() {
-        for v in 0..n as V {
-            for i in 0..g.degree(v) {
-                writeln!(out, "{}", g.weight_at(v, i))?;
-            }
-        }
-    }
-    out.flush()
-}
-
-/// Read the Ligra `AdjacencyGraph` text format.
-pub fn read_adjacency_text(path: &Path) -> io::Result<Csr> {
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut text = String::new();
-    reader.read_to_string(&mut text)?;
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let kind = lines
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty file"))?;
-    let weighted = match kind.trim() {
-        "AdjacencyGraph" => false,
-        "WeightedAdjacencyGraph" => true,
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown graph kind {other:?}"),
-            ))
-        }
-    };
-    let mut next_num = |what: &str| -> io::Result<u64> {
-        lines
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, format!("missing {what}")))?
-            .trim()
-            .parse::<u64>()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad {what}: {e}")))
-    };
-    let n = next_num("n")? as usize;
-    let m = next_num("m")? as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for i in 0..n {
-        offsets.push(next_num(&format!("offset {i}"))?);
-    }
-    offsets.push(m as u64);
-    let mut edges = Vec::with_capacity(m);
-    for i in 0..m {
-        edges.push(next_num(&format!("edge {i}"))? as V);
-    }
-    let weights = if weighted {
-        let mut w = Vec::with_capacity(m);
-        for i in 0..m {
-            w.push(next_num(&format!("weight {i}"))? as u32);
-        }
-        Some(w)
-    } else {
-        None
-    };
-    Ok(Csr::from_parts(
-        offsets.into(),
-        edges.into(),
-        weights.map(Into::into),
-        64,
-    ))
-}
-
-// `BufRead` is pulled in for line-oriented extension points.
-#[allow(unused)]
-fn _uses_bufread<T: BufRead>(_: T) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,16 +648,6 @@ mod tests {
         assert_eq!(nv.block_size(), 128);
         graphs_equal(&c, &nv);
         graphs_equal(&g, &nv);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let g = gen::rmat(7, 4, gen::RmatParams::default(), 6);
-        let path = tmp("txt");
-        write_adjacency_text(&g, &path).unwrap();
-        let back = read_adjacency_text(&path).unwrap();
-        graphs_equal(&g, &back);
         std::fs::remove_file(&path).unwrap();
     }
 

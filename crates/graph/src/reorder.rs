@@ -20,6 +20,7 @@ pub struct Relabeling {
 
 impl Relabeling {
     /// Degree-descending order: hubs get the smallest ids.
+    // sage-lint: allow(dead-pub) -- ROADMAP item 8 measures hub-first relabeling, then keeps or deletes reorder.rs
     pub fn by_degree_desc(g: &impl Graph) -> Self {
         let n = g.num_vertices();
         let mut order: Vec<V> = (0..n as V).collect();
@@ -32,6 +33,7 @@ impl Relabeling {
     }
 
     /// Seeded random order.
+    // sage-lint: allow(dead-pub) -- ROADMAP item 8 measures hub-first relabeling, then keeps or deletes reorder.rs
     pub fn random(n: usize, seed: u64) -> Self {
         Self {
             perm: par::rng::random_permutation(n, seed),
@@ -39,6 +41,7 @@ impl Relabeling {
     }
 
     /// Identity order (useful as an ablation control).
+    // sage-lint: allow(dead-pub) -- ROADMAP item 8 measures hub-first relabeling, then keeps or deletes reorder.rs
     pub fn identity(n: usize) -> Self {
         Self {
             perm: (0..n as V).collect(),
@@ -47,6 +50,7 @@ impl Relabeling {
 }
 
 /// Apply a relabeling to a graph, producing the reordered CSR.
+// sage-lint: allow(dead-pub) -- ROADMAP item 8 measures hub-first relabeling, then keeps or deletes reorder.rs
 pub fn relabel(g: &Csr, r: &Relabeling) -> Csr {
     let n = g.num_vertices();
     assert_eq!(r.perm.len(), n, "permutation size mismatch");

@@ -78,12 +78,12 @@ impl Lexed {
     }
 
     /// True if line `l` is attribute-only (no non-attribute code).
-    pub fn is_attr_line(&self, l: u32) -> bool {
+    fn is_attr_line(&self, l: u32) -> bool {
         self.attr.get(l as usize).copied().unwrap_or(false)
     }
 
     /// True if line `l` carries comment text but no code tokens.
-    pub fn is_comment_only_line(&self, l: u32) -> bool {
+    fn is_comment_only_line(&self, l: u32) -> bool {
         self.comment_text
             .get(l as usize)
             .map(|c| c.is_some())

@@ -24,6 +24,7 @@
 //! | `static-mut` | no `static mut`, anywhere |
 //! | `dep-allowlist` | `Cargo.toml` dependency tables only name workspace crates and vendored shims |
 //! | `thread-spawn` | `std::thread::{spawn,scope}` only in `crates/parallel` (tests and `#[cfg(test)]` modules exempt) |
+//! | `dead-pub` | a non-test `pub fn` under `crates/*/src` is named as an identifier by some other `.rs` file under `crates/`, `src/`, `tests/`, `examples/` or `benchmark/src/` (lint fixtures excluded) |
 //!
 //! # Pragmas
 //!
@@ -55,6 +56,10 @@
 //!   the backstop at runtime.
 //! * **No macro expansion.** Tokens generated by macros are not seen.
 //!   The workspace defines no macros that emit `unsafe` or atomics.
+//! * **Names, not uses.** `dead-pub` counts a function as called when any
+//!   other file names an identifier of the same spelling — a field, a
+//!   local, a different type's method — so a dead `pub fn new` or
+//!   `pub fn len` is never reported.
 //! * **cfg-test regions** are tracked only for brace-bodied
 //!   `#[cfg(test)] mod` items; `#[cfg(test)]` on single functions keeps
 //!   the strict rules (more auditing, never less).
@@ -65,7 +70,7 @@
 pub mod lexer;
 pub mod passes;
 
-pub use passes::{scan_manifest, scan_rust, Violation, ALLOWED_DEPS, RULES};
+pub use passes::{scan_manifest, scan_rust, scan_rust_files, Violation, ALLOWED_DEPS, RULES};
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -87,7 +92,8 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "node_modules"];
 const SKIP_PATHS: &[&str] = &["crates/lint/tests/fixtures"];
 
 /// Recursively scan `root` (a workspace checkout): every `*.rs` file goes
-/// through the Rust passes, every `Cargo.toml` through the manifest pass.
+/// through the Rust passes (together, for `dead-pub`), every `Cargo.toml`
+/// through the manifest pass.
 pub fn scan_tree(root: &Path) -> std::io::Result<ScanReport> {
     let mut report = ScanReport::default();
     let mut stack = vec![root.to_path_buf()];
@@ -117,16 +123,22 @@ pub fn scan_tree(root: &Path) -> std::io::Result<ScanReport> {
         }
     }
     files.sort();
+    let mut rust = Vec::new();
     for path in files {
         let rel = rel_of(root, &path);
         let src = fs::read_to_string(&path)?;
-        let violations = if rel.ends_with(".rs") {
-            scan_rust(&rel, &src)
-        } else {
-            scan_manifest(&rel, &src)
-        };
         report.files += 1;
-        for v in violations {
+        if rel.ends_with(".rs") {
+            rust.push((rel, src));
+        } else {
+            for v in scan_manifest(&rel, &src) {
+                report.violations.push((rel.clone(), v));
+            }
+        }
+    }
+    let violations = scan_rust_files(&rust);
+    for ((rel, _), vs) in rust.iter().zip(violations) {
+        for v in vs {
             report.violations.push((rel.clone(), v));
         }
     }

@@ -1,11 +1,12 @@
-//! The four contract passes and the pragma engine.
+//! The contract passes and the pragma engine.
 //!
 //! Every pass works on the flat token stream from [`crate::lexer`]; none of
 //! them build a syntax tree. Each check is a short token-sequence match plus
 //! a comment lookup on adjacent lines, so the passes are trivially robust to
 //! formatting and cheap enough to run on every `cargo test`.
 
-use crate::lexer::{cfg_test_mask, lex, Lexed, Token};
+use crate::lexer::{cfg_test_mask, lex, Kind, Lexed, Token};
+use std::collections::{HashMap, HashSet};
 
 /// Rule identifiers, as accepted by `sage-lint: allow(<rule>)` pragmas.
 pub const RULES: &[&str] = &[
@@ -17,7 +18,12 @@ pub const RULES: &[&str] = &[
     "static-mut",
     "dep-allowlist",
     "thread-spawn",
+    "dead-pub",
 ];
+
+/// Where a public function's callers may live: the `dead-pub` pass counts a
+/// name as used when any other file under these roots names it.
+const CALLER_ROOTS: &[&str] = &["crates/", "src/", "tests/", "examples/", "benchmark/src/"];
 
 /// The atomic-ordering variant names audited by the ordering pass.
 const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -93,6 +99,9 @@ struct FileClass<'a> {
     in_parallel: bool,
     /// Integration-test files (`tests/` directories): thread-spawn exempt.
     tests_dir: bool,
+    /// A crate's library or binary source (`crates/*/src`): its `pub fn`s
+    /// need a caller elsewhere.
+    crate_src: bool,
 }
 
 impl<'a> FileClass<'a> {
@@ -113,6 +122,7 @@ impl<'a> FileClass<'a> {
             in_nvram,
             in_parallel,
             tests_dir: rel.starts_with("tests/") || rel.contains("/tests/"),
+            crate_src: rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src"),
         }
     }
 }
@@ -203,20 +213,65 @@ fn parse_pragmas(lx: &Lexed) -> (Vec<Pragma>, Vec<Violation>) {
     (pragmas, bad)
 }
 
-/// Scan one Rust source file under its workspace-relative `rel_path`.
+/// Scan one Rust source file under its workspace-relative `rel_path` with
+/// every per-file rule (`dead-pub` needs the other files: see
+/// [`scan_rust_files`]).
 ///
 /// Returns the violations that survive pragma suppression, sorted by line.
 pub fn scan_rust(rel_path: &str, src: &str) -> Vec<Violation> {
-    let lx = lex(src);
+    scan_lexed(rel_path, &lex(src), None)
+}
+
+/// Scan a set of `(workspace-relative path, source)` Rust files together:
+/// every per-file rule on each file, plus `dead-pub`, which asks whether any
+/// *other* file of the set names a function. Returns each file's surviving
+/// violations, in input order.
+pub fn scan_rust_files(files: &[(String, String)]) -> Vec<Vec<Violation>> {
+    let lexed: Vec<Lexed> = files.iter().map(|(_, src)| lex(src)).collect();
+    // How many caller-root files name each identifier.
+    let mut named_in: HashMap<&str, usize> = HashMap::new();
+    for ((rel, _), lx) in files.iter().zip(&lexed) {
+        if !CALLER_ROOTS.iter().any(|r| rel.starts_with(r)) {
+            continue;
+        }
+        let idents: HashSet<&str> = lx
+            .tokens
+            .iter()
+            .filter(|t| t.kind == Kind::Ident)
+            .map(|t| t.text.as_str())
+            .collect();
+        for name in idents {
+            *named_in.entry(name).or_default() += 1;
+        }
+    }
+    // A `crates/*/src` file is itself a caller-root file that names its own
+    // functions, so a second file is needed.
+    let used_elsewhere = |name: &str| named_in.get(name).copied().unwrap_or(0) >= 2;
+    files
+        .iter()
+        .zip(&lexed)
+        .map(|((rel, _), lx)| scan_lexed(rel, lx, Some(&used_elsewhere)))
+        .collect()
+}
+
+/// The per-file passes plus, given `used_elsewhere`, the `dead-pub` pass.
+fn scan_lexed(
+    rel_path: &str,
+    lx: &Lexed,
+    used_elsewhere: Option<&dyn Fn(&str) -> bool>,
+) -> Vec<Violation> {
     let class = FileClass::new(rel_path);
-    let in_test = cfg_test_mask(&lx);
-    let (pragmas, mut out) = parse_pragmas(&lx);
+    let in_test = cfg_test_mask(lx);
+    let (pragmas, mut out) = parse_pragmas(lx);
 
     let mut found: Vec<Violation> = Vec::new();
-    check_unsafe(&lx, &mut found);
-    check_orderings(&lx, &class, &in_test, &mut found);
-    check_write_discipline(&lx, &class, &mut found);
-    check_thread_spawn(&lx, &class, &in_test, &mut found);
+    check_unsafe(lx, &mut found);
+    check_orderings(lx, &class, &in_test, &mut found);
+    check_write_discipline(lx, &class, &mut found);
+    check_thread_spawn(lx, &class, &in_test, &mut found);
+    if let Some(used) = used_elsewhere {
+        check_dead_pub(lx, &class, &in_test, used, &mut found);
+    }
 
     // Apply suppressions: a pragma covers its own line if it shares a line
     // with code (trailing form), otherwise the next code line below it.
@@ -494,6 +549,53 @@ fn check_thread_spawn(lx: &Lexed, class: &FileClass, in_test: &[bool], out: &mut
                 msg: "OS threads outside crates/parallel: route work through the pool, \
                       or pragma a documented load-generator exception"
                     .to_string(),
+            });
+        }
+    }
+}
+
+/// Pass 5 — dead public surface: a non-test `pub fn` under `crates/*/src`
+/// whose name no other file under [`CALLER_ROOTS`] names. Name-based, so a
+/// function that shares its name with any identifier elsewhere passes.
+fn check_dead_pub(
+    lx: &Lexed,
+    class: &FileClass,
+    in_test: &[bool],
+    used_elsewhere: &dyn Fn(&str) -> bool,
+    out: &mut Vec<Violation>,
+) {
+    if !class.crate_src {
+        return;
+    }
+    let toks = &lx.tokens;
+    for i in 0..toks.len() {
+        if !toks[i].is_ident("pub") || in_test.get(i).copied().unwrap_or(false) {
+            continue;
+        }
+        // `pub [const] [async] [unsafe] [extern "abi"] fn name`; a
+        // restricted `pub(..)` never matches.
+        let mut k = i + 1;
+        while k < toks.len()
+            && (["const", "async", "unsafe", "extern"]
+                .iter()
+                .any(|q| toks[k].is_ident(q))
+                || toks[k].kind == Kind::Literal)
+        {
+            k += 1;
+        }
+        if !(k + 1 < toks.len() && toks[k].is_ident("fn") && toks[k + 1].kind == Kind::Ident) {
+            continue;
+        }
+        let name = &toks[k + 1];
+        if !used_elsewhere(&name.text) {
+            out.push(Violation {
+                rule: "dead-pub",
+                line: name.line,
+                msg: format!(
+                    "`pub fn {}` is named by no other file: give it a caller, lower \
+                     it to `pub(crate)`, or delete it",
+                    name.text
+                ),
             });
         }
     }

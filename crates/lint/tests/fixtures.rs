@@ -4,7 +4,7 @@
 //! excluded from the real tree scan (`SKIP_PATHS` in the library), so the
 //! deliberate violations here never fail the gate itself.
 
-use sage_lint::{scan_manifest, scan_rust, Violation};
+use sage_lint::{scan_manifest, scan_rust, scan_rust_files, Violation};
 
 /// `(rule, line)` pairs, sorted, for compact comparison.
 fn fired(vs: &[Violation]) -> Vec<(&'static str, u32)> {
@@ -171,6 +171,52 @@ fn malformed_pragmas_fire_and_do_not_suppress() {
             ("thread-spawn", line_of(src, "unknown_rule") + 2),
         ]
     );
+}
+
+/// Scan `src` as `rel` beside one caller file that names only
+/// `called_elsewhere`; return the fixture's violations.
+fn scan_with_caller(rel: &str, src: &str) -> Vec<Violation> {
+    let files = [
+        (rel.to_string(), src.to_string()),
+        (
+            "examples/caller.rs".to_string(),
+            "fn main() { fixture::called_elsewhere(); }".to_string(),
+        ),
+    ];
+    scan_rust_files(&files).swap_remove(0)
+}
+
+#[test]
+fn dead_pub_passes_named_restricted_test_and_reserved_fns() {
+    let src = include_str!("fixtures/dead_pub_pass.rs");
+    let vs = scan_with_caller("crates/core/src/fixture.rs", src);
+    assert_eq!(fired(&vs), vec![], "{vs:?}");
+}
+
+#[test]
+fn dead_pub_flags_every_unnamed_pub_fn() {
+    let src = include_str!("fixtures/dead_pub_fail.rs");
+    let vs = scan_with_caller("crates/core/src/fixture.rs", src);
+    assert_eq!(
+        fired(&vs),
+        vec![
+            ("dead-pub", line_of(src, "pub fn never_named_elsewhere")),
+            ("dead-pub", line_of(src, "pub const fn qualified_but_dead")),
+            ("dead-pub", line_of(src, "pub fn dead_method")),
+        ]
+    );
+}
+
+#[test]
+fn dead_pub_checks_only_crate_sources_and_needs_the_other_files() {
+    let src = include_str!("fixtures/dead_pub_fail.rs");
+    for rel in ["tests/fixture.rs", "benchmark/src/fixture.rs", "src/lib.rs"] {
+        let vs = scan_with_caller(rel, src);
+        assert_eq!(fired(&vs), vec![], "{rel}: {vs:?}");
+    }
+    // Alone, a file cannot tell whether others name its functions.
+    let vs = scan_rust("crates/core/src/fixture.rs", src);
+    assert_eq!(fired(&vs), vec![], "{vs:?}");
 }
 
 #[test]

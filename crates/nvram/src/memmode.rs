@@ -54,12 +54,14 @@ impl DirectMappedCache {
     }
 
     /// Memory-Mode default: capacity as given, 256 B lines.
+    // sage-lint: allow(dead-pub) -- ROADMAP item 7 drives this simulator from a traced graph, or deletes it
     pub fn memory_mode(capacity_bytes: usize) -> Self {
         Self::new(capacity_bytes, NVRAM_LINE_BYTES)
     }
 
     /// Simulate an access of `bytes` bytes at `addr`; `write` marks the lines
     /// dirty (evictions of dirty lines count as NVRAM write-backs).
+    // sage-lint: allow(dead-pub) -- ROADMAP item 7 drives this simulator from a traced graph, or deletes it
     pub fn access(&mut self, addr: u64, bytes: usize, write: bool) {
         let first = addr / self.line_bytes as u64;
         let last = (addr + bytes.max(1) as u64 - 1) / self.line_bytes as u64;
@@ -92,6 +94,7 @@ impl DirectMappedCache {
     }
 
     /// Dirty evictions (each implies an NVRAM line write).
+    // sage-lint: allow(dead-pub) -- ROADMAP item 7 drives this simulator from a traced graph, or deletes it
     pub fn writebacks(&self) -> u64 {
         self.writebacks
     }

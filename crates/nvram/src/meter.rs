@@ -30,10 +30,9 @@
 //! innermost scope wins (attribution is not split between nested scopes).
 //!
 //! Because each scope owns a freshly zeroed meter and reads it with
-//! [`MeterScope::snapshot`], per-query accounting is independent of
-//! [`Meter::reset`] by construction: a concurrent harness reset can skew the
-//! *global* totals but can never produce negative or corrupted per-query
-//! traffic.
+//! [`MeterScope::snapshot`], per-query accounting needs no baseline: traffic
+//! of concurrent computations lands in the *global* totals but never in
+//! another query's scope.
 //!
 //! # Per-shard attribution
 //!
@@ -133,11 +132,11 @@ pub struct MeterSnapshot {
 impl MeterSnapshot {
     /// Traffic between `earlier` and `self`.
     ///
-    /// Saturating: if a [`Meter::reset`] raced the two snapshots, a counter in
-    /// `self` can be *below* `earlier`; the difference clamps to zero instead
-    /// of wrapping to an absurd ~2^64 value. Per-query accounting that must
-    /// be exact should use a [`MeterScope`], whose private meter no reset can
-    /// touch.
+    /// Saturating: if a counter in `self` is *below* `earlier` (snapshots
+    /// passed in the wrong order), the difference clamps to zero instead of
+    /// wrapping to an absurd ~2^64 value. Per-query accounting that must be
+    /// exact should use a [`MeterScope`], whose private meter no other
+    /// computation touches.
     pub fn since(&self, earlier: &MeterSnapshot) -> MeterSnapshot {
         MeterSnapshot {
             graph_read: self.graph_read.saturating_sub(earlier.graph_read),
@@ -156,11 +155,6 @@ impl MeterSnapshot {
             aux_read: self.aux_read + other.aux_read,
             aux_write: self.aux_write + other.aux_write,
         }
-    }
-
-    /// Total words across all four traffic classes.
-    pub fn total_words(&self) -> u64 {
-        self.graph_read + self.graph_write + self.aux_read + self.aux_write
     }
 
     /// Total PSAM work: unit-cost for every access except graph writes,
@@ -194,26 +188,6 @@ impl Meter {
             s.aux_write += stripe.aux_write.load(Ordering::Relaxed); // ORDERING: as above
         }
         s
-    }
-
-    /// Zero all counters.
-    ///
-    /// **Harness-only API.** The store is not linearizable with respect to
-    /// in-flight workers: resetting while *any* metered computation runs
-    /// tears that run's deltas. A serving system must never call this —
-    /// per-query accounting belongs to [`MeterScope`], whose private meters
-    /// a global reset cannot touch, and global deltas taken with
-    /// [`MeterSnapshot::since`] saturate rather than underflow if a reset
-    /// slips in between.
-    pub fn reset(&self) {
-        for stripe in &self.stripes {
-            // ORDERING: Relaxed (all four) — harness-only quiescent reset,
-            // documented above as never racing a metered computation.
-            stripe.graph_read.store(0, Ordering::Relaxed);
-            stripe.graph_write.store(0, Ordering::Relaxed); // ORDERING: as above
-            stripe.aux_read.store(0, Ordering::Relaxed); // ORDERING: as above
-            stripe.aux_write.store(0, Ordering::Relaxed); // ORDERING: as above
-        }
     }
 }
 
@@ -286,8 +260,7 @@ impl MeterScope {
 
     /// Point-in-time view of the scope's private meter. Since the meter
     /// starts at zero and only this scope's tasks write to it, this *is* the
-    /// scope's attributed traffic — no baseline subtraction, and immune to
-    /// [`Meter::reset`].
+    /// scope's attributed traffic — no baseline subtraction.
     pub fn snapshot(&self) -> MeterSnapshot {
         self.meters.total.snapshot()
     }
@@ -414,13 +387,6 @@ impl Default for CostModel {
     }
 }
 
-impl CostModel {
-    /// Cost of one NVRAM write in DRAM-read units.
-    pub fn nvram_write(&self) -> f64 {
-        self.nvram_read * self.omega
-    }
-}
-
 /// Where each traffic class physically lives — the four configurations of
 /// Figure 7 plus Memory Mode (Figure 1).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -448,19 +414,17 @@ impl MemConfig {
         let g_w = s.graph_write as f64;
         let a_r = s.aux_read as f64;
         let a_w = s.aux_write as f64;
+        // One NVRAM write in DRAM-read units.
+        let nvram_write = model.nvram_read * model.omega;
         match *self {
-            MemConfig::SageAppDirect => {
-                g_r * model.nvram_read + g_w * model.nvram_write() + a_r + a_w
-            }
+            MemConfig::SageAppDirect => g_r * model.nvram_read + g_w * nvram_write + a_r + a_w,
             MemConfig::AllDram => g_r + g_w + a_r + a_w,
-            MemConfig::NvramHeap => {
-                (g_r + a_r) * model.nvram_read + (g_w + a_w) * model.nvram_write()
-            }
+            MemConfig::NvramHeap => (g_r + a_r) * model.nvram_read + (g_w + a_w) * nvram_write,
             MemConfig::MemoryMode { hit_rate } => {
                 let miss = 1.0 - hit_rate;
                 let read_cost = hit_rate + miss * model.nvram_read;
                 // A miss on write additionally evicts a dirty line to NVRAM.
-                let write_cost = hit_rate + miss * (model.nvram_read + model.nvram_write());
+                let write_cost = hit_rate + miss * (model.nvram_read + nvram_write);
                 (g_r + a_r) * read_cost + (g_w + a_w) * write_cost
             }
         }
@@ -584,15 +548,14 @@ mod tests {
     }
 
     #[test]
-    fn since_saturates_across_resets() {
+    fn since_saturates_instead_of_wrapping() {
         let big = MeterSnapshot {
             graph_read: 100,
             graph_write: 1,
             aux_read: 50,
             aux_write: 50,
         };
-        let after_reset = MeterSnapshot::default();
-        let d = after_reset.since(&big);
+        let d = MeterSnapshot::default().since(&big);
         assert_eq!(d, MeterSnapshot::default(), "must clamp, not wrap");
     }
 
@@ -652,25 +615,6 @@ mod tests {
         });
         assert_eq!(outer.snapshot().aux_write, 30);
         assert_eq!(inner.snapshot().aux_write, 3);
-    }
-
-    #[test]
-    fn scope_unaffected_by_global_reset() {
-        let _serial = serial();
-        // A private (non-global) meter stands in for "some other harness
-        // meter being reset"; the scope's meter has no shared state with it.
-        let scope = MeterScope::new();
-        scope.enter(|| {
-            graph_read(50);
-            Meter::global().snapshot(); // arbitrary global activity
-        });
-        // Even a *global* reset cannot disturb the scope's private counters.
-        // (Do not actually reset the global here — tests share it.)
-        let private = MeterScope::new();
-        private.enter(|| aux_write(9));
-        private.meter().reset();
-        assert_eq!(private.snapshot(), MeterSnapshot::default());
-        assert_eq!(scope.snapshot().graph_read, 50);
     }
 
     fn part_index() -> usize {

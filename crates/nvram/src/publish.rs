@@ -39,11 +39,6 @@ impl WriteBudget {
         self.words
     }
 
-    /// Whether this budget admits everything.
-    pub fn is_unlimited(&self) -> bool {
-        self.words == 0
-    }
-
     /// Gate a publish that would flush `words` words. Called **before** any
     /// NVRAM write happens, so a refused publish leaves the store untouched.
     pub fn admit(&self, words: u64) -> Result<(), BudgetExceeded> {
@@ -106,7 +101,7 @@ mod tests {
         let err = b.admit(101).unwrap_err();
         assert_eq!((err.needed, err.budget), (101, 100));
         assert!(WriteBudget::UNLIMITED.admit(u64::MAX).is_ok());
-        assert!(WriteBudget::default().is_unlimited());
+        assert_eq!(WriteBudget::default().words(), 0);
     }
 
     #[test]

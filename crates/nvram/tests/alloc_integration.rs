@@ -6,20 +6,14 @@ use sage_nvram::alloc_track::{self, TrackingAlloc};
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc;
 
-// The byte counters are process-wide, so each test's measurement must not
-// overlap a sibling's allocations. A poisoned lock is fine to reuse: one
-// test's failure must not cascade into the others.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+// The byte counters are process-wide, so a measurement must not overlap
+// any other allocation — a sibling test's or the test harness's own: this
+// is a `harness = false` binary whose `main` runs the cases one after
+// another on the main thread.
+#[path = "serial/mod.rs"]
+mod serial;
 
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-#[test]
 fn peak_reflects_large_allocation() {
-    let _serial = serial();
     alloc_track::reset_peak();
     let before = alloc_track::peak_bytes();
     let v: Vec<u8> = vec![1; 8 << 20]; // 8 MiB
@@ -33,13 +27,24 @@ fn peak_reflects_large_allocation() {
     assert!(alloc_track::peak_bytes() >= before + (8 << 20) as u64);
 }
 
-#[test]
 fn current_tracks_alloc_and_free() {
-    let _serial = serial();
     let before = alloc_track::current_bytes();
     let v: Vec<u64> = Vec::with_capacity(1 << 16);
     let held = alloc_track::current_bytes();
     assert!(held >= before + ((1u64 << 16) * 8));
     drop(v);
     assert!(alloc_track::current_bytes() < held);
+}
+
+fn main() {
+    serial::run(&[
+        (
+            "peak_reflects_large_allocation",
+            peak_reflects_large_allocation,
+        ),
+        (
+            "current_tracks_alloc_and_free",
+            current_tracks_alloc_and_free,
+        ),
+    ]);
 }

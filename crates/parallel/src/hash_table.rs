@@ -9,12 +9,11 @@
 //! Two value conventions coexist, chosen per key by the caller:
 //! * **counter** values ([`ConcurrentMap::fetch_add`] /
 //!   [`ConcurrentMap::get_counter`]) are stored raw, starting at 0;
-//! * **encoded** values ([`ConcurrentMap::fetch_min`] /
-//!   [`ConcurrentMap::insert_if_absent`] / [`ConcurrentMap::get_encoded`])
-//!   are stored as `val + 1` so the zero-initialized slot reads as "unset".
-//!   This reserves `val == u64::MAX`, which those operations reject (it would
-//!   wrap to the unset sentinel and corrupt the map). Do not mix the two
-//!   conventions on the same key.
+//! * **encoded** values ([`ConcurrentMap::insert_if_absent`]) are stored as
+//!   `val + 1` so the zero-initialized slot reads as "unset"; readers decode
+//!   them from [`ConcurrentMap::entries`]. This reserves `val == u64::MAX`,
+//!   which `insert_if_absent` rejects (it would wrap to the unset sentinel
+//!   and corrupt the map). Do not mix the two conventions on the same key.
 
 use crate::rng::hash64;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,52 +97,15 @@ impl ConcurrentMap {
         self.vals[i].fetch_add(delta, Ordering::AcqRel)
     }
 
-    /// Keep the minimum of the current value and `val` for `key`.
-    /// Absent keys behave as unset. Returns `true` if `val` was written.
-    ///
-    /// # Value encoding
-    /// Slots are zero-initialized, so values are stored as `val + 1` with `0`
-    /// meaning "unset" (see [`Self::get_encoded`]). That reserves
-    /// `u64::MAX`: encoding it would wrap back to the unset sentinel —
-    /// silently in release builds, corrupting the map — so it is rejected
-    /// here. Callers needing a "no value" key should simply not insert it.
-    ///
-    /// # Panics
-    /// Panics if `val == u64::MAX` (unrepresentable under the `+1` encoding).
-    pub fn fetch_min(&self, key: u64, val: u64) -> bool {
-        assert_ne!(
-            val,
-            u64::MAX,
-            "u64::MAX is unrepresentable under the +1 value encoding"
-        );
-        let i = self.probe_insert(key);
-        // First touch initializes the slot to MAX semantics: we encode
-        // "unset" as 0 from construction, so use a CAS loop from a snapshot
-        // and treat the first writer specially via a tag-free convention:
-        // values stored are `val + 1`, 0 means unset.
-        let enc = val + 1;
-        // ORDERING: Acquire — seeds the CAS loop with a value no older than
-        // the last writer's Release.
-        let mut cur = self.vals[i].load(Ordering::Acquire);
-        loop {
-            if cur != 0 && cur <= enc {
-                return false;
-            }
-            // ORDERING: AcqRel success / Acquire failure — the winning min
-            // is published with Release; a losing thread re-reads a value at
-            // least as fresh as the winner's.
-            match self.vals[i].compare_exchange(cur, enc, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
     /// Insert `(key, val)` only if the key is absent; returns `true` on the
     /// first insert.
     ///
-    /// Uses the same `+1` value encoding as [`Self::fetch_min`], so
-    /// `val == u64::MAX` is reserved and rejected.
+    /// # Value encoding
+    /// Slots are zero-initialized, so values are stored as `val + 1` with `0`
+    /// meaning "unset" (decode raw [`Self::entries`] values with `- 1`).
+    /// That reserves `u64::MAX`: encoding it would wrap back to the unset
+    /// sentinel — silently in release builds, corrupting the map — so it is
+    /// rejected here.
     ///
     /// # Panics
     /// Panics if `val == u64::MAX` (unrepresentable under the `+1` encoding).
@@ -162,39 +124,13 @@ impl ConcurrentMap {
             .is_ok()
     }
 
-    /// Read the value for `key` decoded with the `+1` convention used by
-    /// [`Self::fetch_min`] / [`Self::insert_if_absent`].
-    pub fn get_encoded(&self, key: u64) -> Option<u64> {
-        let mut i = self.slot_of(key);
-        let mut tries = 0;
-        loop {
-            // ORDERING: Acquire — pairs with the claimer's Release CAS; a
-            // reader that finds the key is ordered after the claim.
-            let cur = self.keys[i].load(Ordering::Acquire);
-            if cur == key {
-                // ORDERING: Acquire — pairs with the writers' Release RMWs
-                // so the value read is no older than the matching key claim.
-                let v = self.vals[i].load(Ordering::Acquire);
-                return if v == 0 { None } else { Some(v - 1) };
-            }
-            if cur == EMPTY {
-                return None;
-            }
-            i = (i + 1) & self.mask;
-            tries += 1;
-            if tries > self.mask {
-                return None;
-            }
-        }
-    }
-
     /// Raw value lookup (for [`Self::fetch_add`]-style counters).
     pub fn get_counter(&self, key: u64) -> Option<u64> {
         let mut i = self.slot_of(key);
         let mut tries = 0;
         loop {
-            // ORDERING: Acquire — pairs with the claimer's Release CAS; see
-            // `get_encoded`.
+            // ORDERING: Acquire — pairs with the claimer's Release CAS; a
+            // reader that finds the key is ordered after the claim.
             let cur = self.keys[i].load(Ordering::Acquire);
             if cur == key {
                 // ORDERING: Acquire — pairs with `fetch_add`'s Release half.
@@ -250,15 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_min_keeps_minimum() {
-        let map = ConcurrentMap::with_capacity(10);
-        par_for(0, 1000, |i| {
-            map.fetch_min(7, (1000 - i) as u64);
-        });
-        assert_eq!(map.get_encoded(7), Some(1));
-    }
-
-    #[test]
     fn insert_if_absent_single_winner() {
         let map = ConcurrentMap::with_capacity(4);
         let winners = std::sync::atomic::AtomicUsize::new(0);
@@ -268,7 +195,11 @@ mod tests {
             }
         });
         assert_eq!(winners.load(Ordering::Relaxed), 1);
-        assert!(map.get_encoded(3).is_some());
+        // The one stored value is some writer's `i`, encoded as `i + 1`.
+        let e = map.entries();
+        assert_eq!(e.len(), 1);
+        assert_eq!(e[0].0, 3);
+        assert!((1..=512).contains(&e[0].1), "{e:?}");
     }
 
     #[test]
@@ -284,26 +215,13 @@ mod tests {
     }
 
     #[test]
-    fn fetch_min_accepts_largest_encodable_value() {
+    fn insert_if_absent_accepts_largest_encodable_value() {
         // Regression: `u64::MAX - 1` encodes to `u64::MAX` and must round-trip
         // (only `u64::MAX` itself is reserved by the +1 encoding).
         let map = ConcurrentMap::with_capacity(8);
-        assert!(map.fetch_min(1, u64::MAX - 1));
-        assert_eq!(map.get_encoded(1), Some(u64::MAX - 1));
-        // A smaller value still wins the min race.
-        assert!(map.fetch_min(1, 5));
-        assert_eq!(map.get_encoded(1), Some(5));
         assert!(map.insert_if_absent(2, u64::MAX - 1));
-        assert_eq!(map.get_encoded(2), Some(u64::MAX - 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "unrepresentable under the +1 value encoding")]
-    fn fetch_min_rejects_reserved_value() {
-        // Regression: `val + 1` used to wrap to the "unset" sentinel for
-        // `u64::MAX` (debug overflow panic, silent corruption in release).
-        let map = ConcurrentMap::with_capacity(8);
-        map.fetch_min(1, u64::MAX);
+        assert!(!map.insert_if_absent(2, 5), "the first insert wins");
+        assert_eq!(map.entries(), vec![(2, u64::MAX)]);
     }
 
     #[test]

@@ -66,13 +66,6 @@ impl SplitMix64 {
     }
 }
 
-/// Uniform double in `[0,1)` derived from a hash — the stateless counterpart
-/// of [`SplitMix64::next_f64`].
-#[inline]
-pub fn hash_f64(seed: u64, i: u64) -> f64 {
-    (hash64(seed ^ i.wrapping_mul(0xD1B54A32D192ED03)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// Seeded Fisher-Yates permutation of `0..n`.
 ///
 /// Sequential (`O(n)`): permutations are only materialized for moderate `n`

@@ -275,7 +275,7 @@ pub struct QueryResult {
     /// The typed answer.
     pub response: Response,
     /// Per-query traffic from the worker's [`sage_nvram::MeterScope`] —
-    /// independent of every other in-flight query and of `Meter::reset`.
+    /// independent of every other in-flight query.
     pub traffic: MeterSnapshot,
     /// Per-shard breakdown of `traffic` when the snapshot has more than one
     /// shard: `per_shard[s]` is this query's share of the words charged

@@ -13,16 +13,10 @@ use sage_nvram::alloc_track::{self, TrackingAlloc};
 static ALLOC: TrackingAlloc = TrackingAlloc;
 
 // The peak counter is process-global, so the measurements in this binary
-// must not run concurrently. A poisoned lock is fine to reuse: the counter
-// protocol resets per test, so one test's assertion failure must not cascade
-// PoisonErrors into the others.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+// must not overlap any other allocation: it is a `harness = false` binary
+// whose `main` runs the cases one after another on the main thread.
+#[path = "../crates/nvram/tests/serial/mod.rs"]
+mod serial;
 
 fn peak_of(f: impl FnOnce()) -> u64 {
     alloc_track::reset_peak();
@@ -38,14 +32,11 @@ fn peak_of(f: impl FnOnce()) -> u64 {
 /// term (in-flight groups hold one `max(4096, davg)`-entry chunk each and
 /// the freelist retains up to `4 × P` more; both scale with `P`, the
 /// `Θ(m)` sparse allocation does not).
-#[test]
 fn chunked_uses_asymptotically_less_memory_than_sparse() {
-    let _serial = serial();
     let g = gen::rmat(13, 16, gen::RmatParams::default(), 1);
     let sparse_only = |si| EdgeMapOpts {
         strategy: Strategy::ForceSparse,
         sparse_impl: si,
-        dense_threshold_den: 20,
     };
     let peak_sparse = peak_of(|| {
         let _ = sage_core::algo::bfs::bfs_with_opts(&g, 0, sparse_only(SparseImpl::Sparse));
@@ -71,9 +62,7 @@ fn chunked_uses_asymptotically_less_memory_than_sparse() {
 
 /// §4.2.3: the filter stores O(m) bits + 3n words, "4.6-8.1x smaller than the
 /// size of the uncompressed graph" on the paper's uncompressed inputs.
-#[test]
 fn filter_is_much_smaller_than_the_graph() {
-    let _serial = serial();
     let g = gen::rmat(13, 16, gen::RmatParams::default(), 2);
     let filter = GraphFilter::new(&g, true);
     let ratio = g.size_bytes() as f64 / filter.size_bytes() as f64;
@@ -86,9 +75,7 @@ fn filter_is_much_smaller_than_the_graph() {
 }
 
 /// The filter's measured heap footprint matches its self-reported size.
-#[test]
 fn filter_reported_size_matches_allocation() {
-    let _serial = serial();
     let g = gen::rmat(12, 16, gen::RmatParams::default(), 3);
     let mut reported = 0usize;
     let peak = peak_of(|| {
@@ -108,9 +95,7 @@ fn filter_reported_size_matches_allocation() {
 /// sized by the inter-cluster edge count — what this replaced — fails all
 /// three: `O(βm)` words, and a power-of-two capacity that made the peak
 /// bimodal in the seed.
-#[test]
 fn connectivity_peak_is_o_n_whatever_m_and_seed() {
-    let _serial = serial();
     let probe = sage_serve::Query::Connected { u: 0, v: 1 };
     let mut peaks = Vec::new();
     for ef in [4, 32] {
@@ -144,9 +129,7 @@ fn connectivity_peak_is_o_n_whatever_m_and_seed() {
 /// rather than parked in the shared pool by an earlier run. Two things this
 /// replaced grew with `m` instead: a hash table sized `2·keys` per round,
 /// and one more overflow-bucket entry per decrement of a far-out vertex.
-#[test]
 fn kcore_peak_fits_its_admission_estimate_whatever_m() {
-    let _serial = serial();
     let probe = sage_serve::Query::KCore {
         k: None,
         vertices: Vec::new(),
@@ -173,10 +156,8 @@ fn kcore_peak_fits_its_admission_estimate_whatever_m() {
 /// Same bound for the union-find labeling the service runs on a sharded
 /// snapshot, against the estimate it acquires there: one forest plus the
 /// labels, whatever the shard count — not a forest per shard.
-#[test]
 fn sharded_connectivity_peak_fits_its_admission_estimate() {
     use sage_serve::queue::{BatchPolicy, Pending, RequestQueue, SchedPolicy};
-    let _serial = serial();
     let queue = RequestQueue::new(1);
     queue.push(Pending::new(0, sage_serve::Query::Connected { u: 0, v: 1 }).0);
     let batch = queue
@@ -241,9 +222,7 @@ fn served_bfs_batch_peak<G: Sharded + Send + Sync + 'static>(
 /// by at most a page per shard (the partitioned scope's part meters). A
 /// shard-aware round loop that allocates `O(Σdeg)` slots per round would
 /// fail the second bound.
-#[test]
 fn sharded_bfs_batch_peak_matches_the_monolithic_batch() {
-    let _serial = serial();
     let csr = gen::rmat(14, 16, gen::RmatParams::web(), 6);
     let n = csr.num_vertices() as sage_graph::V;
     let sources: Vec<sage_graph::V> = (0..32).map(|i| (i * 977) % n).collect();
@@ -263,9 +242,7 @@ fn sharded_bfs_batch_peak_matches_the_monolithic_batch() {
 
 /// Compression (§5.1.3): web-like graphs shrink by a real factor, so NVRAM
 /// reads shrink proportionally.
-#[test]
 fn compressed_graph_allocates_less() {
-    let _serial = serial();
     let csr = gen::rmat(13, 16, gen::RmatParams::web(), 4);
     let raw = csr.size_bytes();
     let compressed = sage_graph::CompressedCsr::from_csr(&csr, 64);
@@ -273,4 +250,41 @@ fn compressed_graph_allocates_less() {
         compressed.size_bytes() * 3 < raw * 2,
         "compression ratio too weak"
     );
+}
+
+fn main() {
+    serial::run(&[
+        (
+            "chunked_uses_asymptotically_less_memory_than_sparse",
+            chunked_uses_asymptotically_less_memory_than_sparse,
+        ),
+        (
+            "filter_is_much_smaller_than_the_graph",
+            filter_is_much_smaller_than_the_graph,
+        ),
+        (
+            "filter_reported_size_matches_allocation",
+            filter_reported_size_matches_allocation,
+        ),
+        (
+            "connectivity_peak_is_o_n_whatever_m_and_seed",
+            connectivity_peak_is_o_n_whatever_m_and_seed,
+        ),
+        (
+            "kcore_peak_fits_its_admission_estimate_whatever_m",
+            kcore_peak_fits_its_admission_estimate_whatever_m,
+        ),
+        (
+            "sharded_connectivity_peak_fits_its_admission_estimate",
+            sharded_connectivity_peak_fits_its_admission_estimate,
+        ),
+        (
+            "sharded_bfs_batch_peak_matches_the_monolithic_batch",
+            sharded_bfs_batch_peak_matches_the_monolithic_batch,
+        ),
+        (
+            "compressed_graph_allocates_less",
+            compressed_graph_allocates_less,
+        ),
+    ]);
 }

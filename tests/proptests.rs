@@ -333,13 +333,14 @@ proptest! {
 
     #[test]
     fn never_writes_nvram(g in arb_graph(100, 500), seed in any::<u64>()) {
-        use sage_nvram::Meter;
-        let before = Meter::global().snapshot();
-        let _ = bfs::bfs(&g, 0);
-        let _ = connectivity::connectivity(&g, 0.2, seed);
-        let _ = kcore::kcore(&g);
-        let _ = maximal_matching::maximal_matching(&g, seed);
-        let _ = triangle::triangle_count(&g);
-        prop_assert_eq!(Meter::global().snapshot().since(&before).graph_write, 0);
+        let scope = sage_nvram::MeterScope::new();
+        scope.enter(|| {
+            let _ = bfs::bfs(&g, 0);
+            let _ = connectivity::connectivity(&g, 0.2, seed);
+            let _ = kcore::kcore(&g);
+            let _ = maximal_matching::maximal_matching(&g, seed);
+            let _ = triangle::triangle_count(&g);
+        });
+        prop_assert_eq!(scope.snapshot().graph_write, 0);
     }
 }
