@@ -96,6 +96,8 @@ fn run_galois_problem<G: Graph, GW: Graph>(
 /// Memory-Mode DRAM hit rate estimate: the paper's machine has 8x as much
 /// NVRAM as DRAM and Hyperlink2012 exceeds DRAM, so a direct-mapped cache
 /// holding `C` bytes of a `W`-byte working set hits ≈ C/W of random accesses.
+/// That makes it 1/8 for every graph and every algorithm: no access trace is
+/// replayed through `sage_nvram::memmode::DirectMappedCache`.
 fn memmode_hit_rate(graph_bytes: usize) -> f64 {
     let dram = graph_bytes as f64 / 8.0;
     (dram / graph_bytes as f64).clamp(0.0, 0.95)
@@ -109,7 +111,8 @@ pub fn fig1() {
     let model = CostModel::default();
     let hit = memmode_hit_rate(g.csr.size_bytes());
     println!(
-        "\nFigure 1 — {} (n={}, m={}), MemMode hit-rate model {:.2}",
+        "\nFigure 1 — {} (n={}, m={}), MemMode hit rate {:.2} (the DRAM:NVRAM \
+         capacity ratio, a constant; no access trace is replayed)",
         g.name,
         g.csr.num_vertices(),
         g.m(),

@@ -123,41 +123,6 @@ pub fn connectivity<G: Graph>(g: &G, beta: f64, seed: u64) -> Vec<V> {
     forest.labels()
 }
 
-/// Connected-component labels from one lock-free union-find pass over every
-/// edge, with no LDD sample: each vertex unites itself with every neighbour
-/// into one forest over the whole id space. The forest starts from
-/// singletons and links larger roots under smaller, so `labels[v]` is the
-/// minimum vertex id of `v`'s component (the partition is that of
-/// [`connectivity`]; its representatives may differ). One pass over the
-/// NVRAM edges and `O(n)` words of small memory: the `n` `u32` parents and
-/// the labels.
-pub fn connectivity_union_find<G: Graph>(g: &G) -> Vec<V> {
-    let n = g.num_vertices();
-    let forest = ConcurrentUnionFind::new(n);
-    meter::aux_write(n as u64);
-    let (unites, linked) = par::reduce_map(
-        0,
-        n,
-        0,
-        (0u64, 0u64),
-        |v| {
-            let (mut unites, mut linked) = (0u64, 0u64);
-            g.for_each_edge(v as V, |u, _| {
-                unites += 1;
-                linked += forest.unite(v as V, u) as u64;
-            });
-            (unites, linked)
-        },
-        |a, b| (a.0 + b.0, a.1 + b.1),
-    );
-    // Two finds per unite, one parent written per link.
-    meter::aux_read(2 * unites);
-    meter::aux_write(linked);
-    meter::aux_read(n as u64);
-    meter::aux_write(n as u64);
-    forest.labels()
-}
-
 /// Number of connected components implied by a labeling.
 pub fn num_components(labels: &[V]) -> usize {
     let mut sorted = labels.to_vec();
@@ -171,7 +136,6 @@ mod tests {
     use super::*;
     use crate::seq;
     use sage_graph::{gen, CompressedCsr, ShardedCsr};
-    use sage_nvram::MeterScope;
 
     fn check_matches_union_find(g: &sage_graph::Csr, seed: u64) {
         let got = seq::canonicalize_labels(&connectivity(g, 0.2, seed));
@@ -227,28 +191,13 @@ mod tests {
     }
 
     #[test]
-    fn union_find_labels_are_component_minima_on_any_shard_count() {
+    fn same_partition_on_any_shard_count() {
         let g = gen::rmat(9, 6, gen::RmatParams::default(), 12);
-        let want = seq::components(&g);
-        let mut min_of = HashMap::new();
-        for (v, &c) in want.iter().enumerate() {
-            min_of.entry(c).or_insert(v as V);
-        }
-        let minima: Vec<V> = want.iter().map(|c| min_of[c]).collect();
-        assert_eq!(connectivity_union_find(&g), minima);
+        let want = seq::canonicalize_labels(&seq::components(&g));
         for k in [1, 3, 7] {
             let sharded = ShardedCsr::from_csr(&g, k);
-            assert_eq!(connectivity_union_find(&sharded), minima, "k = {k}");
+            let got = seq::canonicalize_labels(&connectivity(&sharded, 0.2, 5));
+            assert_eq!(got, want, "k = {k}");
         }
-    }
-
-    #[test]
-    fn union_find_reads_without_writing_the_graph() {
-        let g = ShardedCsr::from_csr(&gen::rmat(9, 8, gen::RmatParams::default(), 2), 4);
-        let scope = MeterScope::new();
-        let _ = scope.enter(|| connectivity_union_find(&g));
-        let d = scope.snapshot();
-        assert_eq!(d.graph_write, 0);
-        assert!(d.graph_read > 0);
     }
 }

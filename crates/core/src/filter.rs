@@ -146,7 +146,7 @@ impl<'g, G: Graph> GraphFilter<'g, G> {
         let base = self.vstart[v as usize] as usize;
         for bi in 0..self.vblocks[v as usize] as usize {
             let slot = base + bi;
-            meter::aux_read(self.wpb as u64 + 2);
+            meter::aux_read(self.wpb as u64 + 1);
             let orig = self.block_orig[slot];
             self.g.decode_block(v, orig as usize, |i, d, w| {
                 if self.word(slot, (i / 64) as usize) >> (i % 64) & 1 == 1 {
@@ -171,7 +171,7 @@ impl<'g, G: Graph> GraphFilter<'g, G> {
         let random_access = self.g.supports_random_access();
         for bi in 0..self.vblocks[v as usize] as usize {
             let slot = base + bi;
-            meter::aux_read(self.wpb as u64 + 2);
+            meter::aux_read(self.wpb as u64 + 1);
             let orig = self.block_orig[slot];
             if random_access {
                 // Uncompressed path (§4.2.3): walk the set bits with the
@@ -267,7 +267,7 @@ impl<'g, G: Graph> GraphFilter<'g, G> {
                     }
                 }
             });
-            meter::aux_read(wpb as u64 + 2);
+            meter::aux_read(wpb as u64 + 1);
             meter::aux_write(deleted.min(1) as u64 * wpb as u64);
             live
         });
@@ -388,7 +388,7 @@ impl<G: Graph> Graph for GraphFilter<'_, G> {
                 break;
             }
             let slot = base + bi;
-            meter::aux_read(self.wpb as u64 + 2);
+            meter::aux_read(self.wpb as u64 + 1);
             let orig = self.block_orig[slot];
             self.g.decode_block(v, orig as usize, |i, d, w| {
                 if go && self.word(slot, (i / 64) as usize) >> (i % 64) & 1 == 1 {
@@ -402,7 +402,7 @@ impl<G: Graph> Graph for GraphFilter<'_, G> {
     /// the ordinal positions among the block's active edges.
     fn decode_block<F: FnMut(u32, V, u32)>(&self, v: V, blk: usize, mut f: F) {
         let slot = self.vstart[v as usize] as usize + blk;
-        meter::aux_read(self.wpb as u64 + 2);
+        meter::aux_read(self.wpb as u64 + 1);
         let orig = self.block_orig[slot];
         let mut at = 0u32;
         self.g.decode_block(v, orig as usize, |i, d, w| {
@@ -459,6 +459,25 @@ mod tests {
             assert_eq!(got, self.edges, "edge sets diverged");
             assert_eq!(total, f.active_edges(), "cached m_active");
         }
+    }
+
+    /// A traversal reads each visited block's `wpb` bitset words and its
+    /// one metadata word, the original block id — plain and compressed, and
+    /// after compaction has dropped blocks.
+    #[test]
+    fn traversal_reads_one_metadata_word_per_block() {
+        fn check(g: &impl Graph) {
+            let mut f = GraphFilter::new(g, true);
+            f.filter_edges(|u, v, _| (u ^ v) & 3 != 0);
+            let n = f.num_vertices() as V;
+            let blocks: u64 = (0..n).map(|v| f.num_blocks_of(v) as u64).sum();
+            let scope = sage_nvram::MeterScope::new();
+            scope.enter(|| (0..n).for_each(|v| f.for_each_active(v, |_, _| {})));
+            assert_eq!(scope.snapshot().aux_read, blocks * (f.wpb as u64 + 1));
+        }
+        let csr = gen::rmat(9, 8, gen::RmatParams::default(), 4);
+        check(&csr);
+        check(&CompressedCsr::from_csr(&csr, 128));
     }
 
     #[test]

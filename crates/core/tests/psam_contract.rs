@@ -84,10 +84,6 @@ fn entry_points<G: Graph>(i: &Inputs<G>) -> Vec<(&'static str, Run<'_>)> {
             run(move || connectivity::connectivity(g, 0.2, 1)),
         ),
         (
-            "connectivity_union_find",
-            run(move || connectivity::connectivity_union_find(g)),
-        ),
-        (
             "densest_subgraph",
             run(move || densest_subgraph::densest_subgraph(g, 0.1)),
         ),

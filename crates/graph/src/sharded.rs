@@ -23,8 +23,9 @@
 //! doing nearly all the work on power-law inputs).
 //!
 //! [`Sharded`] is the small capability trait the serving layer is generic
-//! over: it sizes the partitioned scope and prices per-shard admission from
-//! it. A monolithic graph is its one-shard case: [`Csr`] and
+//! over: the shard count sizes a unit's partitioned scope (and the page per
+//! part meter its admission price adds); nothing else the service runs or
+//! prices depends on it. A monolithic graph is its one-shard case: [`Csr`] and
 //! [`CompressedCsr`] implement it with the trait's defaults and are their
 //! own single shard.
 

@@ -24,6 +24,7 @@
 //! | `static-mut` | no `static mut`, anywhere |
 //! | `dep-allowlist` | `Cargo.toml` dependency tables only name workspace crates and vendored shims |
 //! | `thread-spawn` | `std::thread::{spawn,scope}` only in `crates/parallel` (tests and `#[cfg(test)]` modules exempt) |
+//! | `global-meter` | no `Meter::global()` in `#[cfg(test)]` modules or `tests/` directories, except `crates/nvram/src/meter.rs` (sibling tests charge the same meter; read a `MeterScope`) |
 //! | `dead-pub` | a non-test `pub fn` under `crates/*/src` is named as an identifier by some other `.rs` file under `crates/`, `src/`, `tests/`, `examples/` or `benchmark/src/` (lint fixtures excluded) |
 //!
 //! # Pragmas

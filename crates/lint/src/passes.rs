@@ -19,6 +19,7 @@ pub const RULES: &[&str] = &[
     "dep-allowlist",
     "thread-spawn",
     "dead-pub",
+    "global-meter",
 ];
 
 /// Where a public function's callers may live: the `dead-pub` pass counts a
@@ -102,6 +103,8 @@ struct FileClass<'a> {
     /// A crate's library or binary source (`crates/*/src`): its `pub fn`s
     /// need a caller elsewhere.
     crate_src: bool,
+    /// The one file whose tests may read `Meter::global()`: the meter's own.
+    global_meter_ok: bool,
 }
 
 impl<'a> FileClass<'a> {
@@ -123,6 +126,7 @@ impl<'a> FileClass<'a> {
             in_parallel,
             tests_dir: rel.starts_with("tests/") || rel.contains("/tests/"),
             crate_src: rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src"),
+            global_meter_ok: rel == "crates/nvram/src/meter.rs",
         }
     }
 }
@@ -269,6 +273,7 @@ fn scan_lexed(
     check_orderings(lx, &class, &in_test, &mut found);
     check_write_discipline(lx, &class, &mut found);
     check_thread_spawn(lx, &class, &in_test, &mut found);
+    check_global_meter(lx, &class, &in_test, &mut found);
     if let Some(used) = used_elsewhere {
         check_dead_pub(lx, &class, &in_test, used, &mut found);
     }
@@ -548,6 +553,37 @@ fn check_thread_spawn(lx: &Lexed, class: &FileClass, in_test: &[bool], out: &mut
                 line: toks[i + 3].line,
                 msg: "OS threads outside crates/parallel: route work through the pool, \
                       or pragma a documented load-generator exception"
+                    .to_string(),
+            });
+        }
+    }
+}
+
+/// Pass 4c — tests that cannot race: test code (`#[cfg(test)]` modules and
+/// `tests/` directories) never reads `Meter::global()`. Sibling tests charge
+/// the one process-wide meter at the same time, so an equality on a global
+/// diff depends on what else is running; a `MeterScope` (inherited by
+/// forked pool jobs) or a result's own traffic sees one test's words only.
+/// The meter's own tests, which exercise the global meter itself, are
+/// exempt. A `≤ global delta` bound cannot race — siblings only add to the
+/// global meter — and takes a pragma saying why it needs the global meter.
+fn check_global_meter(lx: &Lexed, class: &FileClass, in_test: &[bool], out: &mut Vec<Violation>) {
+    if class.global_meter_ok {
+        return;
+    }
+    let toks = &lx.tokens;
+    for i in 0..toks.len().saturating_sub(3) {
+        if (class.tests_dir || in_test[i])
+            && toks[i].is_ident("Meter")
+            && toks[i + 1].is_punct(':')
+            && toks[i + 2].is_punct(':')
+            && toks[i + 3].is_ident("global")
+        {
+            out.push(Violation {
+                rule: "global-meter",
+                line: toks[i + 3].line,
+                msg: "`Meter::global()` in test code: sibling tests charge it too; read a \
+                      `MeterScope` or the result's own traffic"
                     .to_string(),
             });
         }

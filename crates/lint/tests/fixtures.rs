@@ -239,3 +239,36 @@ fn manifest_allowlist_rejects_external_crates() {
         ]
     );
 }
+
+#[test]
+fn global_meter_fires_in_test_code_only() {
+    let src = include_str!("fixtures/global_meter_fail.rs");
+    let in_mod = vec![
+        ("global-meter", line_of(src, "sage_nvram::Meter::global()")),
+        ("global-meter", line_of(src, "let after = Meter::global()")),
+    ];
+    let vs = scan_rust("crates/core/src/fixture.rs", src);
+    assert_eq!(fired(&vs), in_mod, "{vs:?}");
+    let mut everywhere = in_mod;
+    everywhere.push((
+        "global-meter",
+        line_of(src, "Meter::global().snapshot().graph_read"),
+    ));
+    everywhere.sort();
+    for rel in ["tests/fixture.rs", "crates/serve/tests/fixture.rs"] {
+        let vs = scan_rust(rel, src);
+        assert_eq!(fired(&vs), everywhere, "{rel}: {vs:?}");
+    }
+    let vs = scan_rust("crates/nvram/src/meter.rs", src);
+    assert!(
+        !fired(&vs).iter().any(|(r, _)| *r == "global-meter"),
+        "{vs:?}"
+    );
+}
+
+#[test]
+fn global_meter_passes_scopes_and_pragmas() {
+    let src = include_str!("fixtures/global_meter_pass.rs");
+    let vs = scan_rust("tests/fixture.rs", src);
+    assert_eq!(fired(&vs), vec![], "{vs:?}");
+}

@@ -6,10 +6,11 @@
 //! configurable capacity with 256-byte lines (the effective NVRAM access
 //! granularity reported by Izraelevitz et al. \[50\]).
 //!
-//! It is exercised by the §5.2-style microbenchmark and by Figure 1's
-//! GBBS-MemMode projection, where the harness replays a representative access
-//! trace to estimate the hit rate plugged into
-//! [`crate::meter::MemConfig::MemoryMode`].
+//! Nothing outside this module's tests drives it yet. Figure 1's
+//! GBBS-MemMode projection replays no access trace: `sage-bench`'s
+//! `memmode_hit_rate` plugs the constant DRAM:NVRAM capacity ratio, 1/8,
+//! into [`crate::meter::MemConfig::MemoryMode`] for every graph and every
+//! algorithm.
 
 /// Default line size: the 256 B effective NVRAM granularity from \[50\].
 pub const NVRAM_LINE_BYTES: usize = 256;

@@ -9,6 +9,10 @@
 //! shared budget before executing and releases them after, blocking while
 //! the budget is exhausted. An execution unit whose estimate exceeds the
 //! whole budget is clamped, so it can still run — alone.
+//!
+//! Every snapshot runs the same engine calls, so an estimate reads the graph
+//! — its vertex count and whether it decodes — and never the shard a query
+//! starts in. The shard count adds only the unit's part meters.
 
 use crate::batch::QueryBatch;
 use crate::query::{BatchClass, Query};
@@ -107,35 +111,27 @@ pub fn dram_estimate_for<G: Graph>(g: &G, query: &Query) -> u64 {
 /// * a BFS batch of `k` sources runs on three `O(n)`-word mask arrays plus a
 ///   frontier — one set for the whole batch, not `k` frontiers — and only
 ///   the returned level arrays are per-member (`k·n` words, the same words
-///   an unbatched run would hand back one query at a time); the shard count
-///   does not change it, since every snapshot runs the same traversal, and
-///   a lone BFS is priced as [`dram_estimate`] prices it;
+///   an unbatched run would hand back one query at a time);
 /// * a connectivity batch runs **one** labeling regardless of how many
-///   `(u, v)` probes consume it; on more than one shard that labeling is one
-///   lock-free union-find forest over all edges plus the label array — two
-///   `u32` arrays, one word per vertex whatever the shard count;
+///   `(u, v)` probes consume it;
 /// * analytics run one shared power method or peel; only the report pairs
 ///   are per-member;
 /// * neighborhood members execute sequentially, so their peak is the
-///   largest single estimate, not the sum; a 1-hop probe's frontier lives
-///   inside one shard, so its `O(n)` bound shrinks to that shard's range.
+///   largest single estimate, not the sum.
 ///
-/// A lone query on one shard, and a lone BFS on any, is priced as
-/// [`dram_estimate`]. The representation adds its decode scratch, summed
-/// over the distinct shards the unit touches, and a snapshot of more than
-/// one shard a page per shard for the unit's per-shard meters.
+/// A lone query is priced as [`dram_estimate`] prices it. The
+/// representation adds its decode scratch once per unit: every buffer comes
+/// from the worker's one `QueryArena`, which caps them per arena, not per
+/// shard. A snapshot of more than one shard adds a page per shard for the
+/// unit's part meters.
 pub fn batch_estimate_for<G: Sharded>(g: &G, batch: &QueryBatch) -> u64 {
     let members = batch.members();
     let n = g.num_vertices() as u64;
     let k = members.len() as u64;
-    let sharded = g.num_shards() > 1;
     let base = match batch.class() {
-        _ if k == 1 && !sharded => dram_estimate(n as usize, members[0].query()),
-        BatchClass::Bfs if k == 1 => dram_estimate(n as usize, members[0].query()),
+        _ if k == 1 => dram_estimate(n as usize, members[0].query()),
         // 3 mask arrays + frontier scratch, plus k level outputs.
         BatchClass::Bfs => (4 * n + k * n) * WORD,
-        // The shared forest + the labels (n u32 each).
-        BatchClass::Connected if sharded => n * WORD + k * 64,
         // One LDD labeling; per-probe state is O(1).
         BatchClass::Connected => 3 * n * WORD + k * 64,
         // One shared power method (three rank vectors + contributions).
@@ -145,13 +141,7 @@ pub fn batch_estimate_for<G: Sharded>(g: &G, batch: &QueryBatch) -> u64 {
         BatchClass::Neighborhood => {
             members
                 .iter()
-                .map(|p| match p.query() {
-                    Query::Neighborhood { src, hops: 1 } => {
-                        let range = g.shard_range(g.shard_of(*src));
-                        (range.end - range.start) as u64 * WORD / 4 + 4096
-                    }
-                    q => dram_estimate(n as usize, q),
-                })
+                .map(|p| dram_estimate(n as usize, p.query()))
                 .max()
                 .unwrap_or(0)
                 + k * 64
@@ -159,47 +149,11 @@ pub fn batch_estimate_for<G: Sharded>(g: &G, batch: &QueryBatch) -> u64 {
     };
     // On more than one shard the unit's meter scope keeps a part meter per
     // shard: a page each.
-    let part_meters = if sharded {
-        g.num_shards() as u64 * 4096
-    } else {
-        0
+    let part_meters = match g.num_shards() {
+        1 => 0,
+        shards => shards as u64 * 4096,
     };
-    base + part_meters + batch_scratch_estimate(g, batch)
-}
-
-/// Decode-scratch surcharge for one execution unit: the sum of
-/// [`decode_scratch_estimate`] over the **distinct** shards the unit will
-/// touch, each charged exactly once — on one shard, exactly
-/// `decode_scratch_estimate(g)`.
-///
-/// Whole-graph units (BFS traversals, connectivity labelings, analytics,
-/// 2-hop probes) touch every shard; a 1-hop neighborhood probe touches only
-/// the shard owning its center. Charging per *distinct shard* rather than
-/// per *member × shard* is what keeps a batch of `k` single-shard probes
-/// from reserving `k × num_shards` buffer sets it can never use.
-pub(crate) fn batch_scratch_estimate<G: Sharded>(g: &G, batch: &QueryBatch) -> u64 {
-    let mut touched = vec![false; g.num_shards()];
-    match batch.class() {
-        BatchClass::Neighborhood => {
-            for p in batch.members() {
-                match p.query() {
-                    Query::Neighborhood { src, hops: 1 } => {
-                        touched[g.shard_of(*src)] = true;
-                    }
-                    // A 2-hop frontier can land anywhere.
-                    _ => touched.iter_mut().for_each(|t| *t = true),
-                }
-            }
-        }
-        // Traversals, labelings, and whole-graph analytics sweep every shard.
-        _ => touched.iter_mut().for_each(|t| *t = true),
-    }
-    touched
-        .iter()
-        .enumerate()
-        .filter(|(_, &t)| t)
-        .map(|(s, _)| decode_scratch_estimate(g.shard(s)))
-        .sum()
+    base + part_meters + decode_scratch_estimate(g)
 }
 
 /// The largest single-query estimate for a graph of `n` vertices; the
@@ -494,50 +448,65 @@ mod tests {
         assert!(max_estimate(1000) >= dram_estimate(1000, &q));
     }
 
-    /// Regression (admission double-charging): a batch's decode-scratch
-    /// surcharge is the sum over the *distinct shards it touches*, charged
-    /// once per unit — not `members × shards` and not `1-hop probe ×
-    /// untouched shards`.
+    /// A unit pays its decode scratch once, whatever its members and the
+    /// shard count: the buffers come from the worker's one arena. And a
+    /// 1-hop probe is priced by the graph, not by its center's shard range:
+    /// its neighbours are global ids, and edge-balanced shards put the hubs
+    /// in the smallest ranges.
     #[test]
-    fn sharded_scratch_charged_once_per_touched_shard() {
+    fn scratch_charged_once_per_unit_on_a_sharded_snapshot() {
         use crate::batch::QueryBatch;
         use crate::queue::Pending;
         use sage_graph::{gen, ShardedCsr};
 
         let csr = gen::rmat(9, 8, gen::RmatParams::default(), 23);
         let g = ShardedCsr::from_csr_compressed(&csr, 4, 64, u32::MAX);
-        let per_shard: Vec<u64> = (0..g.num_shards())
-            .map(|s| decode_scratch_estimate(g.shard(s)))
-            .collect();
-        assert!(per_shard.iter().all(|&b| b > 0), "compressed shards decode");
-
-        // Eight 1-hop probes all centred in shard 0: exactly shard 0's
-        // scratch, once — not 8×, not spread over all four shards.
-        let src = g.shard_range(0).start;
-        let members: Vec<Pending> = (0..8)
-            .map(|i| Pending::new(i, Query::Neighborhood { src, hops: 1 }).0)
-            .collect();
-        let batch = QueryBatch::new(members, BatchClass::Neighborhood);
-        assert_eq!(batch_scratch_estimate(&g, &batch), per_shard[0]);
-
-        // A whole-graph unit charges every shard — once each.
-        let members = vec![Pending::new(0, Query::Bfs { src: 0 }).0];
-        let bfs = QueryBatch::new(members, BatchClass::Bfs);
-        assert_eq!(
-            batch_scratch_estimate(&g, &bfs),
-            per_shard.iter().sum::<u64>()
-        );
-
-        // Plain shards need no decode scratch at all.
         let plain = ShardedCsr::from_csr(&csr, 4);
-        assert_eq!(batch_scratch_estimate(&plain, &bfs), 0);
+        assert_eq!(g.num_shards(), 4);
+        let scratch = decode_scratch_estimate(&g);
+        assert!(scratch > 0, "compressed shards decode");
+        assert_eq!(decode_scratch_estimate(&plain), 0, "plain shards do not");
 
-        // And the full estimate embeds the scratch term exactly once.
-        let members = vec![Pending::new(0, Query::Neighborhood { src, hops: 1 }).0];
-        let one = QueryBatch::new(members, BatchClass::Neighborhood);
-        let with = batch_estimate_for(&g, &one);
-        let without = batch_estimate_for(&plain, &one);
-        assert_eq!(with - without, per_shard[0]);
+        let batch = |class, queries: Vec<Query>| {
+            let members = queries
+                .into_iter()
+                .enumerate()
+                .map(|(i, q)| Pending::new(i as u64, q).0)
+                .collect();
+            QueryBatch::new(members, class)
+        };
+        let src = g.shard_range(0).start;
+        let units = [
+            batch(
+                BatchClass::Neighborhood,
+                vec![Query::Neighborhood { src, hops: 1 }; 8],
+            ),
+            batch(BatchClass::Bfs, vec![Query::Bfs { src: 0 }]),
+            batch(
+                BatchClass::Bfs,
+                (0..8).map(|src| Query::Bfs { src }).collect(),
+            ),
+            batch(
+                BatchClass::Connected,
+                vec![Query::Connected { u: 0, v: 1 }; 3],
+            ),
+        ];
+        for unit in &units {
+            assert_eq!(
+                batch_estimate_for(&g, unit) - batch_estimate_for(&plain, unit),
+                scratch,
+                "{:?}",
+                unit.class()
+            );
+            // Four shards cost the one-shard price plus a page per part
+            // meter.
+            assert_eq!(
+                batch_estimate_for(&plain, unit),
+                batch_estimate_for(&csr, unit) + 4 * 4096,
+                "{:?}",
+                unit.class()
+            );
+        }
     }
 
     #[test]

@@ -10,11 +10,9 @@
 //!   query and one bit-parallel [`msbfs`](sage_core::algo::msbfs) traversal
 //!   for a batch (up to 64 point queries for the PSAM cost of a single edge
 //!   sweep, `O(n)` words of mask state instead of one frontier per query);
-//! * **Connectivity-membership** batches run one labeling — LDD
-//!   [`connectivity`](sage_core::algo::connectivity::connectivity) on one
-//!   shard, the plain union-find
-//!   [`connectivity_union_find`](sage_core::algo::connectivity::connectivity_union_find)
-//!   on more — and answer every `(u, v)` pair from it;
+//! * **Connectivity-membership** batches run one LDD
+//!   [`connectivity`](sage_core::algo::connectivity::connectivity) labeling
+//!   and answer every `(u, v)` pair from it;
 //! * **Neighborhood** batches share the dispatch/admission round-trip but
 //!   execute members as individual units (each probe is `O(deg)`; there is
 //!   no shared traversal to amortize);
@@ -148,11 +146,7 @@ pub(crate) fn run_batch<G: Sharded>(g: &G, batch: &QueryBatch) -> Vec<BatchOutco
             })
         }
         BatchClass::Connected => run_unit(g, members.len(), || {
-            let labels = if g.num_shards() > 1 {
-                algo::connectivity::connectivity_union_find(g)
-            } else {
-                algo::connectivity::connectivity(g, 0.2, QUERY_SEED)
-            };
+            let labels = algo::connectivity::connectivity(g, 0.2, QUERY_SEED);
             let components = algo::connectivity::num_components(&labels);
             let responses = members
                 .iter()

@@ -195,6 +195,7 @@ fn concurrent_mixed_clients_attribute_traffic_per_query() {
             .collect(),
     );
     assert!(live.len() >= 100);
+    // sage-lint: allow(global-meter) -- no test scope sees the workers; a `<=` bound cannot race
     let global_before = Meter::global().snapshot();
     let service = Arc::new(ServiceBuilder::new().start(g));
 
@@ -269,6 +270,7 @@ fn concurrent_mixed_clients_attribute_traffic_per_query() {
     // the per-query sum is bounded by the global delta (other tests in this
     // process may add unscoped traffic on top; exact equality is asserted in
     // the single-process example/demo).
+    // sage-lint: allow(global-meter) -- no test scope sees the workers; a `<=` bound cannot race
     let global_delta = Meter::global().snapshot().since(&global_before);
     for (sum, delta, class) in [
         (
@@ -480,6 +482,7 @@ fn batched_traffic_splits_cleanly() {
     let live: Vec<V> = (0..g.num_vertices() as V)
         .filter(|&v| g.degree(v) > 0)
         .collect();
+    // sage-lint: allow(global-meter) -- no test scope sees the workers; a `<=` bound cannot race
     let before = Meter::global().snapshot();
     let service = ServiceBuilder::new()
         .workers(1) // one worker: the backlog drains as maximal batches
@@ -511,6 +514,7 @@ fn batched_traffic_splits_cleanly() {
     assert_eq!(stats.completed, 40);
     assert!(stats.peak_batch > 1, "no batch formed: {stats:?}");
     assert!(stats.batched_queries > 0);
+    // sage-lint: allow(global-meter) -- no test scope sees the workers; a `<=` bound cannot race
     let delta = Meter::global().snapshot().since(&before);
     assert!(
         sum.graph_read <= delta.graph_read,

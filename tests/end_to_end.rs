@@ -5,7 +5,7 @@ use sage_core::algo::*;
 use sage_core::seq;
 use sage_graph::io::{load_csr, write_csr, Placement};
 use sage_graph::{build_csr, gen, BuildOptions, Graph, NONE_V, V};
-use sage_nvram::Meter;
+use sage_nvram::MeterScope;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -24,61 +24,62 @@ fn all_problems_on_mmapped_graph_without_graph_writes() {
     assert!(g.on_nvram());
     let n = g.num_vertices();
 
-    let before = Meter::global().snapshot();
+    let scope = MeterScope::new();
+    scope.enter(|| {
+        // Shortest paths.
+        let parents = bfs::bfs(&g, 0);
+        bfs::validate_bfs_tree(&g, 0, &parents).unwrap();
+        let d_wbfs = wbfs::wbfs(&g, 0);
+        assert_eq!(d_wbfs, seq::dijkstra(&built, 0));
+        assert_eq!(bellman_ford::bellman_ford(&g, 0).unwrap(), d_wbfs);
+        assert_eq!(
+            widest_path::widest_path_bf(&g, 0),
+            seq::widest_path(&built, 0)
+        );
+        let bc = betweenness::betweenness(&g, 0);
+        let bc_want = seq::brandes(&built, 0);
+        for i in 0..n {
+            assert!((bc[i] - bc_want[i]).abs() < 1e-6 * (1.0 + bc_want[i].abs()));
+        }
+        let sp = spanner::spanner(&g, spanner::default_k(n), 1);
+        assert!(!sp.is_empty());
 
-    // Shortest paths.
-    let parents = bfs::bfs(&g, 0);
-    bfs::validate_bfs_tree(&g, 0, &parents).unwrap();
-    let d_wbfs = wbfs::wbfs(&g, 0);
-    assert_eq!(d_wbfs, seq::dijkstra(&built, 0));
-    assert_eq!(bellman_ford::bellman_ford(&g, 0).unwrap(), d_wbfs);
-    assert_eq!(
-        widest_path::widest_path_bf(&g, 0),
-        seq::widest_path(&built, 0)
-    );
-    let bc = betweenness::betweenness(&g, 0);
-    let bc_want = seq::brandes(&built, 0);
-    for i in 0..n {
-        assert!((bc[i] - bc_want[i]).abs() < 1e-6 * (1.0 + bc_want[i].abs()));
-    }
-    let sp = spanner::spanner(&g, spanner::default_k(n), 1);
-    assert!(!sp.is_empty());
+        // Connectivity family.
+        let labels = connectivity::connectivity(&g, 0.2, 5);
+        assert_eq!(
+            seq::canonicalize_labels(&labels),
+            seq::canonicalize_labels(&seq::components(&built))
+        );
+        let forest = spanning_forest::spanning_forest(&g, 0.2, 5);
+        let comps = connectivity::num_components(&labels);
+        assert_eq!(forest.len(), n - comps);
+        let b = biconnectivity::biconnectivity(&g, 5);
+        assert_eq!(b.labels.len(), n);
 
-    // Connectivity family.
-    let labels = connectivity::connectivity(&g, 0.2, 5);
-    assert_eq!(
-        seq::canonicalize_labels(&labels),
-        seq::canonicalize_labels(&seq::components(&built))
-    );
-    let forest = spanning_forest::spanning_forest(&g, 0.2, 5);
-    let comps = connectivity::num_components(&labels);
-    assert_eq!(forest.len(), n - comps);
-    let b = biconnectivity::biconnectivity(&g, 5);
-    assert_eq!(b.labels.len(), n);
+        // Covering.
+        let set = mis::mis(&g, 5);
+        seq::check_maximal_independent_set(&built, &set).unwrap();
+        let mate = maximal_matching::maximal_matching(&g, 5);
+        seq::check_maximal_matching(&built, &mate).unwrap();
+        let colors = coloring::coloring(&g, 5);
+        seq::check_coloring(&built, &colors).unwrap();
 
-    // Covering.
-    let set = mis::mis(&g, 5);
-    seq::check_maximal_independent_set(&built, &set).unwrap();
-    let mate = maximal_matching::maximal_matching(&g, 5);
-    seq::check_maximal_matching(&built, &mate).unwrap();
-    let colors = coloring::coloring(&g, 5);
-    seq::check_coloring(&built, &colors).unwrap();
+        // Substructure.
+        let cores = kcore::kcore(&g);
+        assert_eq!(cores.coreness, seq::coreness(&built));
+        let dense = densest_subgraph::densest_subgraph(&g, 0.1);
+        assert!(dense.density > 0.0);
+        let tri = triangle::triangle_count(&g);
+        assert_eq!(tri.count, seq::triangle_count(&built));
 
-    // Substructure.
-    let cores = kcore::kcore(&g);
-    assert_eq!(cores.coreness, seq::coreness(&built));
-    let dense = densest_subgraph::densest_subgraph(&g, 0.1);
-    assert!(dense.density > 0.0);
-    let tri = triangle::triangle_count(&g);
-    assert_eq!(tri.count, seq::triangle_count(&built));
-
-    // Eigenvector.
-    let pr = pagerank::pagerank(&g, 1e-8, 200);
-    let sum: f64 = pr.ranks.iter().sum();
-    assert!((sum - 1.0).abs() < 1e-6);
+        // Eigenvector.
+        let pr = pagerank::pagerank(&g, 1e-8, 200);
+        let sum: f64 = pr.ranks.iter().sum();
+        assert!((sum - 1.0).abs() < 1e-6);
+    });
 
     // The PSAM contract held across the entire suite.
-    let traffic = Meter::global().snapshot().since(&before);
+    let traffic = scope.snapshot();
     assert_eq!(
         traffic.graph_write, 0,
         "no Sage algorithm may write the graph"

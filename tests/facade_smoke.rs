@@ -5,7 +5,7 @@
 
 use sage::algo::{bfs, pagerank};
 use sage::graph::io::{load_csr, write_csr, Placement};
-use sage::{build_csr, gen, BuildOptions, Graph, Meter, NONE_V};
+use sage::{build_csr, gen, BuildOptions, Graph, MeterScope, NONE_V};
 
 #[test]
 fn bfs_and_pagerank_on_nvram_graph_never_write_nvram() {
@@ -24,19 +24,20 @@ fn bfs_and_pagerank_on_nvram_graph_never_write_nvram() {
     assert!(g.on_nvram(), "graph must live in the read-only mapping");
     assert!(g.num_edges() > 0);
 
-    let before = Meter::global().snapshot();
+    let scope = MeterScope::new();
+    scope.enter(|| {
+        let parents = bfs::bfs(&g, 0);
+        assert_eq!(parents[0], 0, "source is its own parent");
+        let reached = parents.iter().filter(|&&p| p != NONE_V).count();
+        assert!(reached > 1, "BFS must reach beyond the source");
 
-    let parents = bfs::bfs(&g, 0);
-    assert_eq!(parents[0], 0, "source is its own parent");
-    let reached = parents.iter().filter(|&&p| p != NONE_V).count();
-    assert!(reached > 1, "BFS must reach beyond the source");
-
-    let pr = pagerank::pagerank(&g, 1e-9, 100);
-    let sum: f64 = pr.ranks.iter().sum();
-    assert!((sum - 1.0).abs() < 1e-6, "PageRank must be a distribution");
+        let pr = pagerank::pagerank(&g, 1e-9, 100);
+        let sum: f64 = pr.ranks.iter().sum();
+        assert!((sum - 1.0).abs() < 1e-6, "PageRank must be a distribution");
+    });
 
     // The paper's semi-asymmetric contract: analytics never write the graph.
-    let traffic = Meter::global().snapshot().since(&before);
+    let traffic = scope.snapshot();
     assert_eq!(traffic.graph_write, 0, "NVRAM-resident graph was written");
     assert!(traffic.graph_read > 0, "runs must be metered");
 

@@ -2,7 +2,7 @@
 //! this binary installs the tracking allocator and measures actual peak heap
 //! usage of the traversal variants and the graphFilter.
 
-use sage_core::algo::connectivity::{connectivity, connectivity_union_find};
+use sage_core::algo::connectivity::connectivity;
 use sage_core::algo::kcore::kcore;
 use sage_core::edge_map::{EdgeMapOpts, SparseImpl, Strategy};
 use sage_core::GraphFilter;
@@ -153,26 +153,58 @@ fn kcore_peak_fits_its_admission_estimate_whatever_m() {
     );
 }
 
-/// Same bound for the union-find labeling the service runs on a sharded
-/// snapshot, against the estimate it acquires there: one forest plus the
-/// labels, whatever the shard count — not a forest per shard.
+/// Serve `queries` as one batch through a one-worker service and return the
+/// window's peak heap (the responses, held until the window closes,
+/// included) and the reservation the worker acquired for the batch: with
+/// measured admission off and the default budget that is exactly
+/// `batch_estimate_for`. The service starts before the window opens; the
+/// linger holds the batch open until every query is queued.
+fn served_batch_peak<G: Sharded + Send + Sync + 'static>(
+    g: G,
+    queries: &[sage_serve::Query],
+) -> (u64, u64) {
+    use sage_serve::ServiceBuilder;
+    let service = ServiceBuilder::new()
+        .workers(1)
+        .max_batch(queries.len())
+        .linger(std::time::Duration::from_secs(5))
+        .measured_admission(false)
+        .start(g);
+    let mut results = Vec::new();
+    let peak = peak_of(|| {
+        let tickets: Vec<_> = queries.iter().map(|q| service.submit(q.clone())).collect();
+        results = tickets.into_iter().map(|t| t.wait()).collect();
+    });
+    let stats = service.stats();
+    assert_eq!(
+        (stats.batches, stats.peak_batch),
+        (1, queries.len() as u64),
+        "the queries must run as one batch"
+    );
+    (peak, stats.peak_inflight_bytes)
+}
+
+/// A sharded snapshot runs the same LDD labeling as a monolithic one: a
+/// served connectivity probe on four shards peaks within the estimate the
+/// service acquires for it, and within a page per shard (the partitioned
+/// scope's part meters) of the monolithic probe, whatever the edge factor.
+/// A labeling that kept a forest per shard would fail the second bound.
 fn sharded_connectivity_peak_fits_its_admission_estimate() {
-    use sage_serve::queue::{BatchPolicy, Pending, RequestQueue, SchedPolicy};
-    let queue = RequestQueue::new(1);
-    queue.push(Pending::new(0, sage_serve::Query::Connected { u: 0, v: 1 }).0);
-    let batch = queue
-        .pop_batch(&BatchPolicy::default(), &SchedPolicy::fifo())
-        .expect("one queued probe");
+    let probe = [sage_serve::Query::Connected { u: 0, v: 1 }];
     let mut peaks = Vec::new();
     for ef in [4, 32] {
-        let g = ShardedCsr::from_csr(&gen::rmat(13, ef, gen::RmatParams::web(), 5), 4);
-        let bound = sage_serve::batch_estimate_for(&g, &batch);
-        let peak = peak_of(|| {
-            let _ = connectivity_union_find(&g);
-        });
+        let csr = gen::rmat(13, ef, gen::RmatParams::web(), 5);
+        let sharded = ShardedCsr::from_csr(&csr, 4);
+        assert_eq!(sharded.num_shards(), 4);
+        let (mono, _) = served_batch_peak(csr, &probe);
+        let (peak, estimate) = served_batch_peak(sharded, &probe);
         assert!(
-            peak <= bound,
-            "ef {ef}: peak {peak} B over the admission estimate {bound} B"
+            peak <= estimate,
+            "ef {ef}: sharded peak {peak} B over its admission estimate {estimate} B"
+        );
+        assert!(
+            peak <= mono + 4 * 4096,
+            "ef {ef}: sharded peak {peak} B over the monolithic {mono} B + a page per shard"
         );
         peaks.push(peak);
     }
@@ -180,40 +212,6 @@ fn sharded_connectivity_peak_fits_its_admission_estimate() {
         peaks[1] as f64 <= 1.5 * peaks[0] as f64,
         "peaks {peaks:?} grew with m"
     );
-}
-
-/// Serve `sources` as one BFS batch through a one-worker service and return
-/// the window's peak heap (the returned level vectors, held until the window
-/// closes, included) and the reservation the worker acquired for the batch:
-/// with measured admission off and the default budget that is exactly
-/// `batch_estimate_for`. The service starts before the window opens; the
-/// linger holds the batch open until every source is queued.
-fn served_bfs_batch_peak<G: Sharded + Send + Sync + 'static>(
-    g: G,
-    sources: &[sage_graph::V],
-) -> (u64, u64) {
-    use sage_serve::{Query, ServiceBuilder};
-    let service = ServiceBuilder::new()
-        .workers(1)
-        .max_batch(sources.len())
-        .linger(std::time::Duration::from_secs(5))
-        .measured_admission(false)
-        .start(g);
-    let mut results = Vec::new();
-    let peak = peak_of(|| {
-        let tickets: Vec<_> = sources
-            .iter()
-            .map(|&src| service.submit(Query::Bfs { src }))
-            .collect();
-        results = tickets.into_iter().map(|t| t.wait()).collect();
-    });
-    let stats = service.stats();
-    assert_eq!(
-        (stats.batches, stats.peak_batch),
-        (1, sources.len() as u64),
-        "the sources must run as one batch"
-    );
-    (peak, stats.peak_inflight_bytes)
 }
 
 /// A sharded BFS batch runs the same `msbfs_levels` as a monolithic one, its
@@ -225,11 +223,13 @@ fn served_bfs_batch_peak<G: Sharded + Send + Sync + 'static>(
 fn sharded_bfs_batch_peak_matches_the_monolithic_batch() {
     let csr = gen::rmat(14, 16, gen::RmatParams::web(), 6);
     let n = csr.num_vertices() as sage_graph::V;
-    let sources: Vec<sage_graph::V> = (0..32).map(|i| (i * 977) % n).collect();
+    let lookups: Vec<sage_serve::Query> = (0..32)
+        .map(|i| sage_serve::Query::Bfs { src: (i * 977) % n })
+        .collect();
     let sharded = ShardedCsr::from_csr(&csr, 4);
     assert_eq!(sharded.num_shards(), 4);
-    let (mono, _) = served_bfs_batch_peak(csr, &sources);
-    let (peak, estimate) = served_bfs_batch_peak(sharded, &sources);
+    let (mono, _) = served_batch_peak(csr, &lookups);
+    let (peak, estimate) = served_batch_peak(sharded, &lookups);
     assert!(
         peak <= estimate,
         "sharded batch peak {peak} B over its admission estimate {estimate} B"
@@ -237,6 +237,28 @@ fn sharded_bfs_batch_peak_matches_the_monolithic_batch() {
     assert!(
         peak <= mono + 4 * 4096,
         "sharded batch peak {peak} B over the monolithic {mono} B + a page per shard"
+    );
+}
+
+/// A 1-hop probe gathers its center's neighbours, which are global ids: on
+/// an edge-balanced split the hubs sit in the smallest shard ranges, so a
+/// reservation sized by the center's shard range is far too small. Probing
+/// shard 0's highest-degree vertex must peak within the reservation.
+fn sharded_one_hop_probe_of_a_hub_fits_its_reservation() {
+    let sharded = ShardedCsr::from_csr(&gen::rmat(14, 16, gen::RmatParams::web(), 6), 4);
+    let hub = sharded
+        .shard_range(0)
+        .max_by_key(|&v| (sharded.degree(v), std::cmp::Reverse(v)))
+        .expect("shard 0 is not empty");
+    let ids = sharded.degree(hub) as u64 * 4;
+    let (peak, reserved) = served_batch_peak(
+        sharded,
+        &[sage_serve::Query::Neighborhood { src: hub, hops: 1 }],
+    );
+    assert!(
+        peak <= reserved,
+        "1-hop probe of hub {hub} ({ids} B of ids) peaked at {peak} B over its \
+         reservation {reserved} B"
     );
 }
 
@@ -281,6 +303,10 @@ fn main() {
         (
             "sharded_bfs_batch_peak_matches_the_monolithic_batch",
             sharded_bfs_batch_peak_matches_the_monolithic_batch,
+        ),
+        (
+            "sharded_one_hop_probe_of_a_hub_fits_its_reservation",
+            sharded_one_hop_probe_of_a_hub_fits_its_reservation,
         ),
         (
             "compressed_graph_allocates_less",

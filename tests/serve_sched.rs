@@ -122,8 +122,10 @@ fn cache_hits_are_bitwise_identical_and_graph_free() {
     ];
     for q in queries {
         let fresh = service.query(q.clone());
+        // sage-lint: allow(global-meter) -- no test scope sees the workers; a `<=` bound cannot race
         let before = Meter::global().snapshot();
         let hit = service.query(q);
+        // sage-lint: allow(global-meter) -- no test scope sees the workers; a `<=` bound cannot race
         let delta = Meter::global().snapshot().since(&before);
 
         assert_eq!(
